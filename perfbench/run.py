@@ -89,13 +89,22 @@ def _percentile(values, q: float) -> float:
     return float(np.percentile(values, q)) if values else float("nan")
 
 
+def _reset_peak_rss() -> None:
+    """Restart the process's peak resident memory (``VmHWM``) from now."""
+    import gc
+
+    gc.collect()
+    Path("/proc/self/clear_refs").write_text("5")
+
+
 def _peak_rss_mb() -> float:
-    import resource
+    """Peak resident memory since the last :func:`_reset_peak_rss`."""
+    status = Path("/proc/self/status").read_text()
+    kib = re.search(r"^VmHWM:\s+(\d+) kB", status, re.M).group(1)
+    return int(kib) / 1024.0
 
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
-
-def end_to_end(setups, rec) -> dict:
+def end_to_end(setups, peak_rss_mb, rec) -> dict:
     import statistics
 
     computed = [op.latency_s for op in rec.ops if op.kind == "computed"]
@@ -103,7 +112,7 @@ def end_to_end(setups, rec) -> dict:
         "setup_s": statistics.median(setups),
         "wall_s": statistics.median(end - start
                                     for start, end in rec.passes),
-        "peak_rss_mb": _peak_rss_mb(),
+        "peak_rss_mb": peak_rss_mb,
         "job_latency_p50_s": _percentile(computed, 50),
         "job_latency_p90_s": _percentile(computed, 90),
     }
@@ -139,6 +148,7 @@ def run(workload_cls, seed: int, seconds: float, traced: bool,
             start = perf_counter()
             workload.set_up(directory)
             setups.append(perf_counter() - start)
+        _reset_peak_rss()
         begin = perf_counter()
         while True:
             start = perf_counter()
@@ -146,6 +156,7 @@ def run(workload_cls, seed: int, seconds: float, traced: bool,
             rec.passes.append((start, perf_counter()))
             if perf_counter() - begin >= seconds:
                 break
+        peak_rss_mb = _peak_rss_mb()
         if tracer is not None:
             tracer.uninstall()
         workload.check(rec)
@@ -153,7 +164,8 @@ def run(workload_cls, seed: int, seconds: float, traced: bool,
         if tracer is not None:
             tracer.uninstall()
         workload.close()
-    return {"setups": setups, "record": rec, "tracer": tracer}
+    return {"setups": setups, "peak_rss_mb": peak_rss_mb, "record": rec,
+            "tracer": tracer}
 
 
 def main(argv=None) -> int:
@@ -179,7 +191,7 @@ def main(argv=None) -> int:
 
     import tempfile
 
-    from tracing import FILE_ONLY_METRICS, LAYER_METRICS
+    from tracing import LAYER_METRICS
     from workloads import WORKLOADS
 
     if args.workload not in WORKLOADS:
@@ -195,7 +207,7 @@ def main(argv=None) -> int:
         shutil.rmtree(work, ignore_errors=True)
 
     rec = outcome["record"]
-    e2e = end_to_end(outcome["setups"], rec)
+    e2e = end_to_end(outcome["setups"], outcome["peak_rss_mb"], rec)
     attempted = len(rec.ops)
     failures = [op.failure for op in rec.ops if op.failure is not None]
     info = {
@@ -222,7 +234,7 @@ def main(argv=None) -> int:
         report["layer_map"] = {
             name: {"unit": spec[0], "better": spec[1], "moves": spec[2],
                    "on": spec[3]}
-            for name, spec in {**LAYER_METRICS, **FILE_ONLY_METRICS}.items()}
+            for name, spec in LAYER_METRICS.items()}
         stem = f"{args.workload}-seed{args.seed}"
         (OUT / f"{stem}.trace.json").write_text(json.dumps(
             tracer.chrome_trace({"workload": args.workload,
@@ -273,14 +285,18 @@ def self_test() -> int:
                            units)
         problems += _result_shape_problems(json.loads(line), set(units))
 
+    # Two passes, [0, 4] and [5, 9], plus set-up work after them that
+    # must not count.
     tracer = Tracer()
-    tracer.span("stage.a", "core.stages", 0.0, 4.0, {"self_s": 3.0})
-    tracer.span("stage.b", "core.stages", 1.0, 2.0, {"self_s": 1.0})
-    tracer.span("nn.fit", "nn", 1.0, 2.0)
-    tracer.count("nn.samples", 10)
-    layers = tracer.metrics([(0.0, 4.0)], {}, 4.0)
-    if layers["stage.self_share"] != 1.0 \
-            or layers["nn.samples_per_s"] != 10.0:
+    tracer.span("stage.baseline", "core.stages", 0.0, 4.0, {"self_s": 3.0})
+    tracer.span("stage.dataset", "core.stages", 1.0, 2.0, {"self_s": 1.0})
+    for start in (1.0, 6.0, 10.0):
+        tracer.span("nn.fit", "nn", start, start + 1.0)
+        tracer.count("nn.samples", 10, at=start + 0.5)
+    layers = tracer.metrics([(0.0, 4.0), (5.0, 9.0)], {}, 4.0)
+    if (layers["stage.self_share"], layers["stage.baseline.self_s"],
+            layers["nn.fit_s"], layers["nn.samples_per_s"]) \
+            != (0.5, 1.5, 1.0, 10.0):
         problems.append(f"tracer arithmetic: {layers}")
 
     for problem in problems:

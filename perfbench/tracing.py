@@ -46,12 +46,12 @@ _declare([f"stage.{s}.self_s" for s in STAGES[:11]], "s", "lower",
          "wall_s", _COLD)
 _declare([f"stage.{s}.self_s" for s in STAGES[11:]], "s", "lower",
          "job_latency_p50_s,job_latency_p90_s", _SERVICE)
-_declare(["stage.computed", "stage.reused"], "count", "lower", "wall_s",
-         _COLD)
+_declare(["stage.computed"], "count", "lower", "wall_s", _COLD)
+_declare(["stage.reused"], "count", "higher", "wall_s", _COLD)
 _declare(["stage.self_share"], "ratio", "higher", "wall_s", _COLD)
 _declare(["nn.fit_s", "nn.evaluate_s", "nn.backward_s", "nn.conv2d_fwd_s",
-          "nn.restrict_project_s"], "s", "lower", "wall_s,peak_rss_mb",
-         _COLD)
+          "nn.depthwise_fwd_s", "nn.restrict_project_s"], "s", "lower",
+         "wall_s,peak_rss_mb", _COLD)
 _declare(["nn.restrict_project_calls", "nn.train_steps"], "count", "lower",
          "wall_s", _COLD)
 _declare(["nn.samples_per_s"], "1/s", "higher", "wall_s", _COLD)
@@ -74,10 +74,6 @@ _declare(["artifacts.read_s", "artifacts.write_s"], "s", "lower",
 _declare(["artifacts.bytes_read", "artifacts.bytes_written"], "bytes",
          "lower", _ARTIFACTS, _SERVICE)
 _declare(["trace.wall_s"], "s", "lower", "wall_s", _COLD)
-
-#: Recorded in the trace file but not printed: no workload runs a
-#: depthwise layer (only efficientnet has them).
-FILE_ONLY_METRICS = {"nn.depthwise_fwd_s": ("s", "lower", "wall_s", "")}
 
 #: Timed entry points: (module, attribute path, span name, layer).
 _SPANS = (
@@ -134,16 +130,16 @@ def _resolve(module_name: str, path: str) -> Tuple[Any, str]:
 class Tracer:
     """In-memory span recorder plus the wrappers that feed it.
 
-    Spans are appended from any thread (the service drains jobs on its
-    own thread); ``list.append`` is atomic, and the counters are only
-    touched under ``_lock``.
+    Spans and counts are appended from any thread (the service drains
+    jobs on its own thread); ``list.append`` is atomic.  Both carry
+    their time, so :meth:`metrics` keeps only what fell inside the
+    timed passes.
     """
 
     def __init__(self) -> None:
         self.spans: List[Tuple[str, str, float, float, int, Optional[dict]]] \
             = []
-        self.counts: Dict[str, float] = defaultdict(float)
-        self._lock = threading.Lock()
+        self.counts: List[Tuple[str, float, float]] = []
         self._local = threading.local()
         self._patches: List[Tuple[Any, str, Any]] = []
         self.origin = perf_counter()
@@ -154,9 +150,10 @@ class Tracer:
         self.spans.append((name, layer, start, end, threading.get_ident(),
                            args))
 
-    def count(self, name: str, amount: float = 1) -> None:
-        with self._lock:
-            self.counts[name] += amount
+    def count(self, name: str, amount: float = 1,
+              at: Optional[float] = None) -> None:
+        self.counts.append((name, amount,
+                            perf_counter() if at is None else at))
 
     # -- installation --------------------------------------------------
     def _patch(self, owner: Any, attr: str, replacement: Any) -> None:
@@ -279,44 +276,56 @@ class Tracer:
     # -- reporting -----------------------------------------------------
     def metrics(self, windows: Sequence[Tuple[float, float]],
                 extra: Dict[str, float], wall_s: float) -> Dict[str, float]:
-        """Every per-layer metric (printed and file-only), by name.
+        """Every per-layer metric, by name, per timed pass.
 
-        ``windows`` are the timed passes; ``stage.self_share`` is the
-        stage self time inside them over their total length.
+        ``windows`` are the timed passes.  Span times and counts are
+        summed over the spans and counts inside them and divided by
+        their number, so neither set-up nor the number of passes that
+        fit in a run changes them; ``extra`` (measured by the workload
+        during its passes) is divided the same way.  Rates and ratios
+        are taken over the same sums: ``stage.self_share`` is the stage
+        self time over the passes' total length.
         """
+        def inside(start: float, end: float) -> bool:
+            return any(lo <= start and end <= hi for lo, hi in windows)
+
         total: Dict[str, float] = defaultdict(float)
-        inside = 0.0
         for name, _, start, end, _, args in self.spans:
+            if not inside(start, end):
+                continue
             if args is not None and "self_s" in args:
                 total[f"{name}.self_s"] += args["self_s"]
-                if any(lo <= start and end <= hi for lo, hi in windows):
-                    inside += args["self_s"]
             else:
                 total[f"{name}_s"] += end - start
-        counts = dict(self.counts)
-        hits = counts.get("artifacts.hits", 0)
-        misses = counts.get("artifacts.misses", 0)
+        counts: Dict[str, float] = defaultdict(float)
+        for name, amount, at in self.counts:
+            if inside(at, at):
+                counts[name] += amount
+        hits = counts["artifacts.hits"]
+        misses = counts["artifacts.misses"]
         timed = sum(hi - lo for lo, hi in windows)
+        self_s = sum(value for name, value in total.items()
+                     if name.endswith(".self_s"))
         derived = {
-            "stage.self_share": inside / timed if timed else 0.0,
-            "nn.samples_per_s": _rate(counts.get("nn.samples", 0),
+            "stage.self_share": self_s / timed if timed else 0.0,
+            "nn.samples_per_s": _rate(counts["nn.samples"],
                                       total["nn.fit_s"]),
             "timing.transitions_per_s": _rate(
-                counts.get("timing.transitions", 0),
+                counts["timing.transitions"],
                 total["timing.characterize_s"]),
-            "power.samples_per_s": _rate(counts.get("power.samples", 0),
+            "power.samples_per_s": _rate(counts["power.samples"],
                                          total["power.characterize_s"]),
             "artifacts.hit_ratio": _rate(hits, hits + misses),
             "trace.wall_s": wall_s,
         }
+        passes = max(len(windows), 1)
         out: Dict[str, float] = {}
-        for name in list(LAYER_METRICS) + list(FILE_ONLY_METRICS):
-            for source in (derived, extra, counts, total):
-                if name in source:
-                    out[name] = float(source[name])
-                    break
+        for name in LAYER_METRICS:
+            if name in derived:
+                out[name] = float(derived[name])
             else:
-                out[name] = 0.0
+                summed = extra.get(name, counts.get(name, total.get(name)))
+                out[name] = float(summed or 0.0) / passes
         return out
 
     def chrome_trace(self, metadata: Dict[str, Any]) -> Dict[str, Any]:
