@@ -3,7 +3,7 @@
 Usage, from the repository root::
 
     python3 perfbench/run.py --workload table1-resnet20-cold --seed 1 \\
-        --seconds 15 --trace 0
+        --seconds 30 --trace 0
     python3 perfbench/run.py --self-test
 
 ``--trace 0`` measures with nothing wrapped and prints the end-to-end
@@ -107,14 +107,23 @@ def _peak_rss_mb() -> float:
 def end_to_end(setups, peak_rss_mb, rec) -> dict:
     import statistics
 
-    computed = [op.latency_s for op in rec.ops if op.kind == "computed"]
+    computed = [op for op in rec.ops if op.kind == "computed"]
+    # Means over the passes, not medians over the window: the machine's
+    # speed moves between a fast and a slow level in steps of several
+    # seconds, and a median over a run's passes or jobs lands on
+    # whichever level held most of them.  A pass is short enough to sit
+    # on one level, so its median job is taken first.
+    pass_p50 = [_percentile([op.latency_s for op in computed
+                             if start <= op.end <= end], 50)
+                for start, end in rec.passes]
     return {
         "setup_s": statistics.median(setups),
-        "wall_s": statistics.median(end - start
-                                    for start, end in rec.passes),
+        "wall_s": statistics.mean(end - start
+                                  for start, end in rec.passes),
         "peak_rss_mb": peak_rss_mb,
-        "job_latency_p50_s": _percentile(computed, 50),
-        "job_latency_p90_s": _percentile(computed, 90),
+        "job_latency_p50_s": statistics.mean(pass_p50),
+        "job_latency_p90_s": _percentile(
+            [op.latency_s for op in computed], 90),
     }
 
 
@@ -172,7 +181,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--workload")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=15.0)
+    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--self-test", action="store_true",
                         help="check metric names and the output shape, "
@@ -217,6 +226,7 @@ def main(argv=None) -> int:
         "ops": {kind: sum(1 for op in rec.ops if op.kind == kind)
                 for kind in ("computed", "cached")},
         "passes": len(rec.passes),
+        "pass_s": [end - start for start, end in rec.passes],
         "cached_latency_p50_s": _percentile(
             [op.latency_s for op in rec.ops if op.kind == "cached"], 50),
         "setup_runs_s": outcome["setups"],
@@ -255,6 +265,7 @@ def main(argv=None) -> int:
 def self_test() -> int:
     """Check BENCHMARK.json against the harness and the output shape."""
     from tracing import LAYER_METRICS, Tracer
+    from workloads import WORKLOADS
 
     problems = []
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -263,6 +274,7 @@ def self_test() -> int:
     if set(bench) != expected_keys:
         problems.append(f"BENCHMARK.json keys {sorted(bench)}")
     names = [w["name"] for w in bench["workloads"]]
+    problems += [f"no workload {n!r}" for n in names if n not in WORKLOADS]
     names += [m["name"] for m in bench["end_to_end"] + bench["per_layer"]]
     problems += [f"bad name {n!r}" for n in names if not NAME_RE.match(n)]
     if len(names) != len(set(names)):

@@ -1,4 +1,10 @@
-"""The benchmark's three workloads.
+"""The benchmark's workloads.
+
+``table1-resnet20-cold`` and ``service-accel-mixed`` are the ones
+``BENCHMARK.json`` declares.  ``characterize-paper-lenet5`` runs by
+name only: one pass takes ~30 s, so with it the declared runs would not
+fit the benchmark's time budget at a window long enough for the
+service to be steady.
 
 Each workload has a set-up (repeated, so set-up time is a median), a
 timed *pass* (repeated until the run's seconds are spent), and output
@@ -32,6 +38,8 @@ class Op:
     latency_s: float
     ref: Any = None
     failure: Optional[str] = None
+    #: When the operation ended (``perf_counter``).
+    end: float = field(default_factory=perf_counter)
 
 
 @dataclass
