@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.nn.autograd import Tensor, _im2col, no_grad
+from repro.nn.autograd import Tensor, _windows, no_grad
 from repro.nn.layers import Conv2d, DepthwiseConv2d, Linear, Module
 from repro.nn.quant import to_codes
 from repro.systolic.config import SystolicConfig
@@ -72,22 +72,16 @@ def _layer_workload(layer, index: int, config: SystolicConfig,
         m = oh * ow
         if layer.last_input is not None:
             codes = _activation_codes(layer.last_input, config.act_bits)
+            windows = _windows(codes, layer.kernel_size,
+                               layer.kernel_size, layer.stride, layer.pad)
             if isinstance(layer, Conv2d):
-                cols, __, __ = _im2col(
-                    codes.astype(np.float64), layer.kernel_size,
-                    layer.kernel_size, layer.stride, layer.pad)
-                batch = cols.shape[0]
-                acts = cols.transpose(1, 0, 2).reshape(k, -1)
+                # (C*kh*kw, N*OH*OW): one column per output pixel.
+                acts = windows.transpose(1, 4, 5, 0, 2, 3).reshape(k, -1)
             else:
                 # Depthwise: each channel convolves independently; give
                 # the stats the patch streams of the first channel group.
-                cols, __, __ = _im2col(
-                    codes.astype(np.float64), layer.kernel_size,
-                    layer.kernel_size, layer.stride, layer.pad)
-                channels = codes.shape[1]
                 kk = layer.kernel_size ** 2
-                acts = cols.reshape(cols.shape[0], channels, kk, -1)
-                acts = acts.transpose(2, 0, 1, 3).reshape(kk, -1)
+                acts = windows.transpose(4, 5, 0, 1, 2, 3).reshape(kk, -1)
             activations = acts[:, :stream_cap].astype(np.int64)
             m = activations.shape[1]
     else:  # Linear

@@ -125,6 +125,13 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward()
+        # Release the tape.  Each backward closure refers to its own
+        # output tensor, a reference cycle that would otherwise keep the
+        # whole graph (every saved patch matrix) alive until the cyclic
+        # garbage collector runs.
+        for node in topo:
+            node._backward = None
+            node._parents = ()
 
     # ------------------------------------------------------------------
     # operator sugar
@@ -407,69 +414,103 @@ def project_ste(a: Tensor,
 # ----------------------------------------------------------------------
 # convolution and pooling
 # ----------------------------------------------------------------------
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int,
-            pad: int) -> Tuple[np.ndarray, int, int]:
-    """(N, C, H, W) -> (N, C*kh*kw, OH*OW) patch matrix."""
-    n, c, h, w = x.shape
+# The convolutions are explicit matrix products over the operands that
+# ``np.einsum(..., optimize=True)`` handed to ``matmul``, so every
+# product yields einsum's bits.  The outputs keep einsum's memory layout
+# too: later reductions (batch-norm means, gradient sums) walk memory in
+# layout order, so a different layout changes their rounding.
+
+#: Largest product (M*N*K multiply-adds) that OpenBLAS may route to its
+#: small-matrix kernels.  Those kernels differ per transpose flag, so
+#: below this size a transposed view does not give the bits of the
+#: contiguous operand; above it operands are packed first and it does.
+_SMALL_GEMM = 100 ** 3
+
+
+def _windows(x: np.ndarray, kh: int, kw: int, stride: int,
+             pad: int) -> np.ndarray:
+    """(N, C, OH, OW, kh, kw) view of every receptive field of ``x``."""
     if pad:
         x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    oh = (x.shape[2] - kh) // stride + 1
-    ow = (x.shape[3] - kw) // stride + 1
     windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw),
                                                        axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride, :, :]
-    # (N, C, OH, OW, kh, kw) -> (N, C, kh, kw, OH, OW)
-    cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(
-        n, c * kh * kw, oh * ow
-    )
-    return np.ascontiguousarray(cols), oh, ow
+    return windows[:, :, ::stride, ::stride]
 
 
-def _col2im(cols: np.ndarray, x_shape: Tuple[int, ...], kh: int, kw: int,
-            stride: int, pad: int, oh: int, ow: int) -> np.ndarray:
-    """Adjoint of :func:`_im2col` (scatter-add of patch gradients)."""
+def _col2im(dpatches: np.ndarray, x_shape: Tuple[int, ...], stride: int,
+            pad: int) -> np.ndarray:
+    """Scatter-add (N, OH, OW, C, kh, kw) patch gradients into an
+    (N, C, H, W) input gradient.
+
+    Patches are added in kernel-offset order onto zeros, so every element
+    sums its terms in the same order whatever the layout.  The sum is
+    built channels-last, where each add walks the patch gradients in
+    memory order, a block of images at a time so that the block's ~1 MB
+    of patch gradients stays in cache across the kh*kw adds.
+    """
     n, c, h, w = x_shape
-    hp, wp = h + 2 * pad, w + 2 * pad
-    dx = np.zeros((n, c, hp, wp), dtype=cols.dtype)
-    cols = cols.reshape(n, c, kh, kw, oh, ow)
-    for i in range(kh):
-        for j in range(kw):
-            dx[:, :, i:i + stride * oh:stride,
-               j:j + stride * ow:stride] += cols[:, :, i, j]
-    if pad:
-        dx = dx[:, :, pad:-pad, pad:-pad]
-    return dx
+    __, oh, ow, __, kh, kw = dpatches.shape
+    dx = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=dpatches.dtype)
+    block = max(1, (1 << 20) // dpatches[0].nbytes)
+    for start in range(0, n, block):
+        dx_block = dx[start:start + block]
+        d_block = dpatches[start:start + block]
+        for i in range(kh):
+            for j in range(kw):
+                dx_block[:, i:i + stride * oh:stride,
+                         j:j + stride * ow:stride] += d_block[..., i, j]
+    return dx[:, pad:pad + h, pad:pad + w].transpose(0, 3, 1, 2)
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
            stride: int = 1, pad: int = 0) -> Tensor:
-    """2-D convolution, NCHW layout, OIHW weights."""
+    """2-D convolution, NCHW layout, OIHW weights.
+
+    The output is channels-last in memory (element strides
+    ``(P*O, 1, OW*O, O)`` for ``P = OH*OW``), as the einsum formulation
+    returned it.
+    """
     if x.ndim != 4 or weight.ndim != 4:
         raise ValueError("conv2d expects NCHW input and OIHW weights")
-    n = x.shape[0]
     out_ch, in_ch, kh, kw = weight.shape
     if in_ch != x.shape[1]:
         raise ValueError(
             f"channel mismatch: input {x.shape[1]}, weight {in_ch}"
         )
-    cols, oh, ow = _im2col(x.data, kh, kw, stride, pad)
+    windows = _windows(x.data, kh, kw, stride, pad)
+    n, __, oh, ow = windows.shape[:4]
     w_mat = weight.data.reshape(out_ch, in_ch * kh * kw)
-    out_data = np.einsum("ok,nkp->nop", w_mat, cols,
-                         optimize=True).reshape(n, out_ch, oh, ow)
+    k = w_mat.shape[1]
+    # The forward multiplies (N*OH*OW, C*kh*kw) patch rows, the weight
+    # gradient their (C*kh*kw, N*OH*OW) transpose; einsum made both
+    # contiguous.  One is copied out of the windows and the other is its
+    # transposed view, copied too only for small products (_SMALL_GEMM).
+    small = n * oh * ow * k * out_ch <= _SMALL_GEMM
+    if kh == kw == 1 and not pad:
+        # The rows of a 1x1 convolution are pixels: a channels-last input
+        # already holds them.
+        rows = np.ascontiguousarray(
+            windows.transpose(0, 2, 3, 1, 4, 5).reshape(-1, k))
+        cols = np.ascontiguousarray(rows.T) if small else rows.T
+    else:
+        cols = np.ascontiguousarray(
+            windows.transpose(1, 4, 5, 0, 2, 3).reshape(k, -1))
+        rows = np.ascontiguousarray(cols.T) if small else cols.T
+    out_data = (rows @ w_mat.T).reshape(n, oh, ow, out_ch) \
+        .transpose(0, 3, 1, 2)
     if bias is not None:
         out_data = out_data + bias.data.reshape(1, out_ch, 1, 1)
 
     def backward():
-        dout = out.grad.reshape(n, out_ch, oh * ow)
+        drows = np.ascontiguousarray(
+            out.grad.transpose(0, 2, 3, 1).reshape(-1, out_ch))
         if weight.requires_grad:
-            dw = np.einsum("nop,nkp->ok", dout, cols, optimize=True)
-            weight._accumulate(dw.reshape(weight.shape))
+            weight._accumulate((cols @ drows).T.reshape(weight.shape))
         if bias is not None and bias.requires_grad:
             bias._accumulate(out.grad.sum(axis=(0, 2, 3)))
         if x.requires_grad:
-            dcols = np.einsum("ok,nop->nkp", w_mat, dout, optimize=True)
-            x._accumulate(_col2im(dcols, x.shape, kh, kw, stride, pad,
-                                  oh, ow))
+            dpatches = (drows @ w_mat).reshape(n, oh, ow, in_ch, kh, kw)
+            x._accumulate(_col2im(dpatches, x.shape, stride, pad))
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     out = _make(out_data, parents, backward)
@@ -488,29 +529,41 @@ def depthwise_conv2d(x: Tensor, weight: Tensor,
     c = x.shape[1]
     if weight.shape[0] != c:
         raise ValueError("depthwise channel mismatch")
-    n = x.shape[0]
     kh, kw = weight.shape[2], weight.shape[3]
-    cols, oh, ow = _im2col(x.data, kh, kw, stride, pad)
-    # cols: (N, C*kh*kw, P) -> (N, C, kh*kw, P)
-    cols4 = cols.reshape(n, c, kh * kw, oh * ow)
-    w_mat = weight.data.reshape(c, kh * kw)
-    out_data = np.einsum("ck,nckp->ncp", w_mat, cols4,
-                         optimize=True).reshape(n, c, oh, ow)
+    windows = _windows(x.data, kh, kw, stride, pad)
+    n, __, oh, ow = windows.shape[:4]
+    # (C, kh*kw, N*OH*OW) patches: the weight-gradient operand.  The
+    # forward is one matrix-vector product per channel over its
+    # contiguous (N*OH*OW, kh*kw) patch rows, which leaves the output
+    # channel-major in memory.
+    cols = np.ascontiguousarray(
+        windows.transpose(1, 4, 5, 0, 2, 3).reshape(c, kh * kw, -1))
+    per_channel = np.ascontiguousarray(cols.transpose(0, 2, 1))
+    out_data = (per_channel @ weight.data.reshape(c, kh * kw, 1)) \
+        .reshape(c, n, oh, ow).transpose(1, 0, 2, 3)
     if bias is not None:
         out_data = out_data + bias.data.reshape(1, c, 1, 1)
 
     def backward():
-        dout = out.grad.reshape(n, c, oh * ow)
         if weight.requires_grad:
-            dw = np.einsum("ncp,nckp->ck", dout, cols4, optimize=True)
-            weight._accumulate(dw.reshape(weight.shape))
+            dout = np.ascontiguousarray(
+                out.grad.transpose(1, 0, 2, 3).reshape(c, -1, 1))
+            weight._accumulate((cols @ dout).reshape(weight.shape))
         if bias is not None and bias.requires_grad:
             bias._accumulate(out.grad.sum(axis=(0, 2, 3)))
         if x.requires_grad:
-            dcols = np.einsum("ck,ncp->nckp", w_mat, dout, optimize=True)
-            x._accumulate(_col2im(
-                dcols.reshape(n, c * kh * kw, oh * ow),
-                x.shape, kh, kw, stride, pad, oh, ow))
+            # Each tap's product is added in kernel-offset order onto
+            # zeros, as the materialized patch gradients were.
+            h, w = x.shape[2], x.shape[3]
+            dx = np.zeros((n, c, h + 2 * pad, w + 2 * pad),
+                          dtype=out.grad.dtype)
+            taps = weight.data.reshape(1, c, kh, kw, 1, 1)
+            for i in range(kh):
+                for j in range(kw):
+                    term = out.grad * taps[:, :, i, j]
+                    dx[:, :, i:i + stride * oh:stride,
+                       j:j + stride * ow:stride] += term
+            x._accumulate(dx[:, :, pad:pad + h, pad:pad + w])
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     out = _make(out_data, parents, backward)

@@ -1,5 +1,8 @@
 """Numerical-gradient and semantics tests for the autograd engine."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -257,3 +260,19 @@ class TestEngineSemantics:
             y = y + 1.0
         y.backward()
         np.testing.assert_allclose(x.grad, [1.0])
+
+    def test_backward_releases_the_tape(self):
+        """Saved activations die with their last reference, not at the
+        next run of the cyclic garbage collector."""
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        hidden = x * 2.0
+        saved = weakref.ref(hidden.data)
+        loss = (hidden * hidden).sum()
+        del hidden
+        gc.disable()
+        try:
+            loss.backward()
+            assert saved() is None
+        finally:
+            gc.enable()
+        np.testing.assert_allclose(x.grad, np.full((2, 3), 8.0))
