@@ -98,7 +98,12 @@ class Tensor:
             self.grad += grad
 
     def backward(self) -> None:
-        """Reverse-mode sweep seeding d(self)/d(self) = 1."""
+        """Reverse-mode sweep seeding d(self)/d(self) = 1.
+
+        The sweep frees the graph behind ``self``: a second ``backward()``
+        through any of its nodes, from ``self`` or from another loss built
+        on them, raises ``RuntimeError``.  Build the graph again instead.
+        """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar loss tensor")
         topo: List[Tensor] = []
@@ -130,7 +135,8 @@ class Tensor:
         # whole graph (every saved patch matrix) alive until the cyclic
         # garbage collector runs.
         for node in topo:
-            node._backward = None
+            if node._backward is not None:
+                node._backward = _released
             node._parents = ()
 
     # ------------------------------------------------------------------
@@ -178,6 +184,11 @@ class Tensor:
 
     def transpose(self, axes: Sequence[int]):
         return transpose(self, axes)
+
+
+def _released() -> None:
+    raise RuntimeError("backward() through a graph that an earlier "
+                       "backward() freed; build the graph again")
 
 
 def _ensure(value: Union[Tensor, float, int, np.ndarray]) -> Tensor:
@@ -421,9 +432,13 @@ def project_ste(a: Tensor,
 # layout order, so a different layout changes their rounding.
 
 #: Largest product (M*N*K multiply-adds) that OpenBLAS may route to its
-#: small-matrix kernels.  Those kernels differ per transpose flag, so
-#: below this size a transposed view does not give the bits of the
-#: contiguous operand; above it operands are packed first and it does.
+#: small-matrix kernels: the x86-64 SkylakeX permit
+#: (``kernel/x86_64/sgemm_small_kernel_permit_skylakex.c``) refuses
+#: larger ones, and other x86-64 targets have none.  Those kernels differ
+#: per transpose flag, so below this size a transposed view does not give
+#: the bits of the contiguous operand; above it operands are packed first
+#: and it does.  The view skips a transposing copy of the patch matrix
+#: that would double the forward's time.
 _SMALL_GEMM = 100 ** 3
 
 
@@ -483,19 +498,13 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     k = w_mat.shape[1]
     # The forward multiplies (N*OH*OW, C*kh*kw) patch rows, the weight
     # gradient their (C*kh*kw, N*OH*OW) transpose; einsum made both
-    # contiguous.  One is copied out of the windows and the other is its
-    # transposed view, copied too only for small products (_SMALL_GEMM).
+    # contiguous.  The transpose is copied out of the windows and the rows
+    # are its transposed view, copied too only for small products
+    # (_SMALL_GEMM).
+    cols = np.ascontiguousarray(
+        windows.transpose(1, 4, 5, 0, 2, 3).reshape(k, -1))
     small = n * oh * ow * k * out_ch <= _SMALL_GEMM
-    if kh == kw == 1 and not pad:
-        # The rows of a 1x1 convolution are pixels: a channels-last input
-        # already holds them.
-        rows = np.ascontiguousarray(
-            windows.transpose(0, 2, 3, 1, 4, 5).reshape(-1, k))
-        cols = np.ascontiguousarray(rows.T) if small else rows.T
-    else:
-        cols = np.ascontiguousarray(
-            windows.transpose(1, 4, 5, 0, 2, 3).reshape(k, -1))
-        rows = np.ascontiguousarray(cols.T) if small else cols.T
+    rows = np.ascontiguousarray(cols.T) if small else cols.T
     out_data = (rows @ w_mat.T).reshape(n, oh, ow, out_ch) \
         .transpose(0, 3, 1, 2)
     if bias is not None:

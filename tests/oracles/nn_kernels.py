@@ -7,16 +7,50 @@ operands through ``matmul``), and :func:`nearest_allowed` is the
 match them bit for bit: same values, same dtype and the same memory
 layout of every array that later operations reduce over.
 :func:`traced_conv_layers` lists the real layers to compare them on.
+
+The convolution bits depend on how einsum hands its operands to
+``matmul`` and on the BLAS build, so bit identity is asserted only in
+the environment it was checked in (:data:`BIT_EXACT`): numpy 2.4 with
+OpenBLAS on x86-64 (checked with numpy 2.4.6, OpenBLAS 0.3.31).
+Elsewhere :func:`assert_matches` compares values to float rounding.
 """
 
 from __future__ import annotations
 
+import platform
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.nn import autograd as ag
 from repro.nn.autograd import Tensor, _make
+
+
+def _blas_name() -> str:
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:  # numpy < 1.26 cannot report its BLAS
+        return ""
+    return config["Build Dependencies"]["blas"].get("name", "")
+
+
+#: Whether the convolutions must equal their oracles bit for bit here.
+BIT_EXACT = (np.__version__.startswith("2.4.")
+             and "openblas" in _blas_name().lower()
+             and platform.machine().lower() in ("x86_64", "amd64"))
+
+
+def assert_matches(got: np.ndarray, want: np.ndarray) -> None:
+    """``got`` equals the oracle's ``want``: bit for bit, strides
+    included, where :data:`BIT_EXACT`; to float32 rounding elsewhere."""
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    if BIT_EXACT:
+        assert got.strides == want.strides
+        assert got.tobytes() == want.tobytes()
+    else:
+        np.testing.assert_allclose(got, want, rtol=1e-4, atol=2e-3)
+
 
 #: (kind, input (C, H, W), weight shape, stride, pad, has bias, memory
 #: order of the input axes, outermost first)

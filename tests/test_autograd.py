@@ -276,3 +276,14 @@ class TestEngineSemantics:
         finally:
             gc.enable()
         np.testing.assert_allclose(x.grad, np.full((2, 3), 8.0))
+
+    def test_backward_through_a_freed_graph_raises(self):
+        x = Tensor(np.ones(2), requires_grad=True)
+        hidden = x * 2.0
+        loss = hidden.sum()
+        loss.backward()
+        with pytest.raises(RuntimeError, match="freed"):
+            loss.backward()
+        with pytest.raises(RuntimeError, match="freed"):
+            (hidden * 3.0).sum().backward()
+        np.testing.assert_allclose(x.grad, [2.0, 2.0])

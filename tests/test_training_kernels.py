@@ -10,9 +10,16 @@ projector must likewise return the ``searchsorted`` oracle's codes in
 C order.
 
 The layer shapes and input layouts are traced from a forward pass of
-all four networks at smoke and ci scale, and every layer runs at each
-batch size the pipeline feeds it.
+all four networks at each scale, and every layer runs at each batch
+size the pipeline feeds it at that scale (:func:`pipeline_batches`).
+
+Bit identity was checked with numpy 2.4.6 and OpenBLAS 0.3.31
+(scipy-openblas, one thread) on x86-64 under Python 3.11.  In other
+environments the convolutions are compared to float rounding instead
+(``oracles.nn_kernels.BIT_EXACT``).
 """
+
+import inspect
 
 import numpy as np
 import pytest
@@ -20,39 +27,71 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import nn_kernels as oracle
+from repro.core.pipeline import PipelineConfig
+from repro.experiments.config import SCALES
 from repro.nn import autograd as ag
 from repro.nn.autograd import Tensor
 from repro.nn.restrict import ActivationFilter, WeightRestriction
+from repro.nn.trainer import Trainer
 
-#: Batch sizes the pipeline feeds: the training batch, the tail of a
-#: 500-sample epoch, the evaluation batch, the statistics batch and the
-#: power batch.  The evaluation batch only ever runs forward, and its
-#: backward would be most of this module's run time, so it is checked
-#: forward only.
-BATCHES = (32, 20, 200, 8, 2)
-FORWARD_ONLY = {200}
+#: Images the power measurement runs through the network.
+POWER_BATCH = 2
 
 
-LAYERS = oracle.traced_conv_layers()
+def pipeline_batches(scale):
+    """Batch sizes the pipeline feeds the convolutions at ``scale``,
+    each mapped to whether its backward is checked too.
+
+    Training runs the training batch and the tail of an epoch; the
+    evaluation batch and its tail, the statistics batch and the power
+    batch only run forward.  Backward is checked up to the training
+    batch size, where it is cheap.
+    """
+    s = SCALES[scale]
+    train = PipelineConfig().batch_size
+    evaluate = inspect.signature(Trainer.evaluate) \
+        .parameters["batch_size"].default
+    sizes = {train, s.n_train % train, min(s.n_test, evaluate),
+             s.n_test % evaluate, s.stats_batch, POWER_BATCH} - {0}
+    return {size: size <= train for size in sizes}
 
 
-def _layer_id(layer):
-    kind, chw, wshape, stride, pad, bias, order = layer
+def _cases():
+    """(layer, batch, backward) for every traced layer at every batch
+    size of every scale it appears at."""
+    cases = {}
+    for scale in SCALES:
+        batches = pipeline_batches(scale)
+        for layer in oracle.traced_conv_layers((scale,)):
+            for batch, backward in batches.items():
+                cases[layer, batch] = cases.get((layer, batch)) or backward
+    return [(layer, batch, backward)
+            for (layer, batch), backward in sorted(cases.items(), key=repr)]
+
+
+CASES = _cases()
+
+
+def _case_id(case):
+    (kind, chw, wshape, stride, pad, __, order), batch, backward = case
     shape = "x".join(map(str, chw))
     weights = "x".join(map(str, wshape))
     layout = "".join("NCHW"[a] for a in order)
-    return f"{kind}-{shape}-w{weights}-s{stride}p{pad}-{layout}"
+    mode = "" if backward else "-fwd"
+    return f"{kind}-{shape}-w{weights}-s{stride}p{pad}-{layout}-n{batch}{mode}"
 
 
 def _run(conv, x_data, w_data, b_data, grad, stride, pad):
     """Forward, then backward from ``grad`` unless it is ``None``; every
-    resulting array."""
-    x = Tensor(x_data, requires_grad=True)
-    w = Tensor(w_data, requires_grad=True)
-    b = None if b_data is None else Tensor(b_data, requires_grad=True)
+    resulting array.  A forward-only run records no tape, as the
+    pipeline's inference does not."""
+    train = grad is not None
+    x = Tensor(x_data, requires_grad=train)
+    w = Tensor(w_data, requires_grad=train)
+    b = None if b_data is None else Tensor(b_data, requires_grad=train)
     out = conv(x, w, b, stride=stride, pad=pad)
     forward = out.data
-    if grad is None:
+    if not train:
         return {"forward": forward}
     (out * Tensor(grad)).sum().backward()
     arrays = {"forward": forward, "dW": w.grad, "dX": x.grad}
@@ -61,27 +100,32 @@ def _run(conv, x_data, w_data, b_data, grad, stride, pad):
     return arrays
 
 
-def assert_bit_identical(got, want):
-    assert got.dtype == want.dtype
-    assert got.shape == want.shape
-    assert got.strides == want.strides
-    assert got.tobytes() == want.tobytes()
+def test_pipeline_batches():
+    assert pipeline_batches("smoke") == {32: True, 20: True, 200: False,
+                                         8: True, 2: True}
+    assert pipeline_batches("ci") == {32: True, 256: False, 44: False,
+                                      16: True, 2: True}
+    assert pipeline_batches("paper") == {32: True, 256: False, 160: False,
+                                         100: False, 2: True}
 
 
 def test_traced_layers_cover_the_networks():
-    kinds = {layer[0] for layer in LAYERS}
+    layers = {case[0] for case in CASES}
+    kinds = {layer[0] for layer in layers}
     assert kinds == {"conv2d", "depthwise"}
-    wshapes = {layer[2] for layer in LAYERS}
+    wshapes = {layer[2] for layer in layers}
     assert (24, 12, 1, 1) in wshapes  # the 1x1 stride-2 resnet20 shortcut
-    assert any(layer[3] == 2 for layer in LAYERS)
-    assert any(layer[2][2:] == (1, 1) for layer in LAYERS)
+    assert any(layer[3] == 2 for layer in layers)
+    assert any(layer[2][2:] == (1, 1) for layer in layers)
     # conv outputs are channels-last, so most layers see that input
-    assert any(layer[6] == (0, 2, 3, 1) for layer in LAYERS)
+    assert any(layer[6] == (0, 2, 3, 1) for layer in layers)
+    # the paper-scale (full-width) layers are in
+    assert (64, 64, 3, 3) in wshapes
 
 
-@pytest.mark.parametrize("batch", BATCHES)
-@pytest.mark.parametrize("layer", LAYERS, ids=_layer_id)
-def test_conv_kernel_matches_einsum_oracle(layer, batch):
+@pytest.mark.parametrize("layer, batch, backward", CASES,
+                         ids=map(_case_id, CASES))
+def test_conv_kernel_matches_einsum_oracle(layer, batch, backward):
     kind, chw, wshape, stride, pad, bias, order = layer
     rng = np.random.default_rng([batch, *chw, *wshape])
     x = oracle.in_layout(
@@ -90,15 +134,15 @@ def test_conv_kernel_matches_einsum_oracle(layer, batch):
     b = rng.normal(0, 0.1, wshape[0]).astype(np.float32) if bias else None
     oh, ow = ((size + 2 * pad - k) // stride + 1
               for size, k in zip(chw[1:], wshape[2:]))
-    grad = (None if batch in FORWARD_ONLY else rng.standard_normal(
-        (batch, wshape[0], oh, ow), dtype=np.float32))
+    grad = (rng.standard_normal((batch, wshape[0], oh, ow),
+                                dtype=np.float32) if backward else None)
     new, old = ((ag.conv2d, oracle.conv2d) if kind == "conv2d"
                 else (ag.depthwise_conv2d, oracle.depthwise_conv2d))
     want = _run(old, x, w, b, grad, stride, pad)
     got = _run(new, x, w, b, grad, stride, pad)
     assert got.keys() == want.keys()
     for name in want:
-        assert_bit_identical(got[name], want[name])
+        oracle.assert_matches(got[name], want[name])
 
 
 def test_conv_output_is_channels_last():
@@ -146,9 +190,9 @@ def test_projector_matches_searchsorted_oracle(allowed, seed):
     for layout in (codes, oracle.in_layout(codes, (0, 2, 3, 1)),
                    codes[:, :, ::2], codes.astype(np.int32),
                    codes.astype(np.int8), np.arange(-1000, 1000)):
-        assert_bit_identical(projector(layout),
-                             oracle.nearest_allowed(projector.allowed,
-                                                    layout))
+        oracle.assert_matches(projector(layout),
+                              oracle.nearest_allowed(projector.allowed,
+                                                     layout))
 
 
 def test_projector_output_is_c_ordered():
