@@ -498,7 +498,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     k = w_mat.shape[1]
     # The forward multiplies (N*OH*OW, C*kh*kw) patch rows, the weight
     # gradient their (C*kh*kw, N*OH*OW) transpose; einsum made both
-    # contiguous.  The transpose is copied out of the windows and the rows
+    # contiguous.  The transpose is gathered from the windows and the rows
     # are its transposed view, copied too only for small products
     # (_SMALL_GEMM).
     cols = np.ascontiguousarray(
