@@ -204,9 +204,9 @@ class PowerPruner:
         """Per-weight timing table for the power-selected candidates."""
         return self.ops.characterize_timing(candidate_weights)
 
-    def measure_power(self, model, dataset, table, vdd=None):
+    def measure_power(self, model, table, vdd=None):
         """(Standard HW, Optimized HW) average power of the network."""
-        return self.ops.measure_power(model, dataset, table, vdd=vdd)
+        return self.ops.measure_power(model, table, vdd=vdd)
 
     # ------------------------------------------------------------------
     # the full flow

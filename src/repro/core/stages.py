@@ -11,22 +11,30 @@ sweeps, figure experiments and worker processes.
 The graph (paper Sec. III-C)::
 
     dataset ──► baseline ──► pruned ──► power_selection ─► timing_table
-       │           │            │             │                 │
-       │           └─► operand_stats ─► power_table ────────────┤
-       │                                      │                 ▼
-       │                                      │          delay_selection
-       │                                      │                 │
-       │                                      │         voltage_scaling
-       └──────────────────────────────────────┴────────┬────────┘
+                   │            │             │                 │
+                   └─► operand_stats ─► power_table ────────────┤
+                                              │                 ▼
+                                              │          delay_selection
+                                              │                 │
+                                              │         voltage_scaling
+                                              └────────┬────────┘
                                                        ▼
                                              power_measurement ─► report
 
-plus the accelerator-evaluation branch (keyed on the
+``dataset`` also feeds the stages that train or read test images:
+``pruned``, ``operand_stats``, ``power_selection`` and
+``delay_selection``.
+
+Plus the accelerator-evaluation branch (keyed on the
 :class:`~repro.systolic.spec.AcceleratorSpec` design point only, so a
 design-space sweep shares the whole training/characterization prefix)::
 
-    dataset ─┬─► accel_schedule ──► accel_eval
-    pruned ──┘      (geometry)   (power_table, voltage_scaling, variant)
+    pruned ──► accel_schedule ──► accel_eval
+                  (geometry)   (power_table, voltage_scaling, variant)
+
+``power_measurement`` and the accelerator branch trace layer geometry on
+one zero image (:meth:`PipelineOps.trace_layers`), so they never build
+the dataset.
 
 Stage outputs are plain picklable values; stages that conceptually
 produce "the model" return its ``state_dict`` plus the active
@@ -147,6 +155,7 @@ class StageGraph:
 
     def __init__(self) -> None:
         self._stages: Dict[str, Stage] = {}
+        self._fingerprint: Optional[str] = None
 
     def add(self, stage: Stage) -> Stage:
         if stage.name in self._stages:
@@ -157,6 +166,7 @@ class StageGraph:
                 f"stage {stage.name!r} depends on unknown stages "
                 f"{missing}; add dependencies first")
         self._stages[stage.name] = stage
+        self._fingerprint = None
         return stage
 
     def __getitem__(self, name: str) -> Stage:
@@ -171,6 +181,19 @@ class StageGraph:
     def names(self) -> List[str]:
         """Stage names in (topological) insertion order."""
         return list(self._stages)
+
+    def fingerprint(self) -> str:
+        """Hash of every stage's name, version, deps and fields.
+
+        Results cached outside the stage keys (finished sweep points)
+        hash it, so a version bump or a rewired stage invalidates them
+        too.  Computed once per graph.
+        """
+        if self._fingerprint is None:
+            self._fingerprint = hash_key([
+                (s.name, s.version, s.deps, s.fields)
+                for s in self._stages.values()])
+        return self._fingerprint
 
     def key(self, name: str, config: "PipelineConfig",
             _memo: Optional[Dict[str, str]] = None) -> str:
@@ -465,7 +488,20 @@ class PipelineOps:
         return spec, spec.resolve_config(self.systolic_config)
 
     # -- measurement ---------------------------------------------------
-    def measure_power(self, model, dataset, table, vdd=None):
+    def trace_layers(self, model, systolic_config):
+        """Every layer's weights and tile schedule on the array.
+
+        Without captured activations these depend only on the input
+        shape, so one zero image of the datasets' shape stands in for
+        test data and the dataset is never built.
+        """
+        from repro.data import IMAGE_SHAPE
+
+        sample = np.zeros((1,) + IMAGE_SHAPE, dtype=np.float32)
+        return extract_workloads(model, sample, systolic_config,
+                                 capture_activations=False)
+
+    def measure_power(self, model, table, vdd=None):
         """(Standard HW, Optimized HW) average power of the network."""
         from repro.systolic import (
             OPTIMIZED_HW,
@@ -474,9 +510,7 @@ class PipelineOps:
             MacPowerParams,
         )
 
-        sample = dataset.x_test[:2]
-        workloads = extract_workloads(model, sample, self.systolic_config,
-                                      capture_activations=False)
+        workloads = self.trace_layers(model, self.systolic_config)
         power_model = ArrayPowerModel(
             self.systolic_config,
             MacPowerParams(table=table,
@@ -589,17 +623,15 @@ def _stage_voltage_scaling(ops: PipelineOps, inputs: Dict[str, Any]):
 
 def _stage_power_measurement(ops: PipelineOps, inputs: Dict[str, Any]):
     config = ops.config
-    dataset = inputs["dataset"]
     table = inputs["power_table"]
     scaling = inputs["voltage_scaling"]
     selected = inputs["delay_selection"]
 
     baseline_model = ops.model_from_state(inputs["baseline"]["state"])
-    std_orig, opt_orig = ops.measure_power(baseline_model, dataset, table)
+    std_orig, opt_orig = ops.measure_power(baseline_model, table)
 
     pruned_model = ops.model_from_state(inputs["pruned"]["state"])
-    std_pruned, opt_pruned = ops.measure_power(pruned_model, dataset,
-                                               table)
+    std_pruned, opt_pruned = ops.measure_power(pruned_model, table)
 
     final_model = ops.model_from_state(
         selected["state"],
@@ -613,9 +645,8 @@ def _stage_power_measurement(ops: PipelineOps, inputs: Dict[str, Any]):
         filtered_table = ops.recharacterize_filtered(
             selected["activations"], inputs["operand_stats"], table)
         final_table = filtered_table
-    std_prop, opt_prop = ops.measure_power(final_model, dataset,
-                                           final_table)
-    std_vs, opt_vs = ops.measure_power(final_model, dataset, final_table,
+    std_prop, opt_prop = ops.measure_power(final_model, final_table)
+    std_vs, opt_vs = ops.measure_power(final_model, final_table,
                                        vdd=scaling.vdd)
     return {
         "std_orig": std_orig, "opt_orig": opt_orig,
@@ -676,11 +707,8 @@ def _stage_accel_schedule(ops: PipelineOps, inputs: Dict[str, Any]):
 
     spec, config = ops.accel_design()
     model = ops.model_from_state(inputs["pruned"]["state"])
-    sample = inputs["dataset"].x_test[:2]
-    workloads = extract_workloads(model, sample, config,
-                                  capture_activations=False)
     layers = []
-    for workload in workloads:
+    for workload in ops.trace_layers(model, config):
         schedule = workload.schedule
         if spec.stream_batch != 1:
             # Stream `stream_batch` inferences through each stationary
@@ -842,7 +870,7 @@ def build_power_pruning_graph() -> StageGraph:
     ))
     graph.add(Stage(
         "power_measurement", _stage_power_measurement,
-        deps=("dataset", "baseline", "pruned", "operand_stats",
+        deps=("baseline", "pruned", "operand_stats",
               "power_table", "delay_selection", "voltage_scaling"),
         fields=("clock_power_uw",
                 "refine_power_with_filtered_activations",
@@ -860,8 +888,7 @@ def build_power_pruning_graph() -> StageGraph:
     # training/characterization prefix (power_table keys identical
     # across array shapes, by construction).
     graph.add(Stage(
-        "accel_schedule", _stage_accel_schedule,
-        deps=("dataset", "pruned"),
+        "accel_schedule", _stage_accel_schedule, deps=("pruned",),
         fields=("accel_geometry",),
     ))
     graph.add(Stage(

@@ -9,6 +9,7 @@ synthetic task exercises.
 
 from repro.data.synthetic import SyntheticImageDataset
 from repro.data.datasets import (
+    IMAGE_SHAPE,
     cifar10_like,
     cifar100_like,
     imagenet_like,
@@ -16,6 +17,7 @@ from repro.data.datasets import (
 )
 
 __all__ = [
+    "IMAGE_SHAPE",
     "SyntheticImageDataset",
     "cifar10_like",
     "cifar100_like",

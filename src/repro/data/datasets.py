@@ -2,18 +2,26 @@
 
 from __future__ import annotations
 
+from typing import Tuple
+
 from repro.data.synthetic import SyntheticImageDataset, generate
+
+#: ``(channels, height, width)`` of every dataset's images.  The builders
+#: default to it, and the pipeline traces layer geometry on it without
+#: generating a dataset.
+IMAGE_SHAPE: Tuple[int, int, int] = (3, 32, 32)
+_CHANNELS, _HW, _ = IMAGE_SHAPE
 
 
 def cifar10_like(n_train: int = 2000, n_test: int = 500,
-                 hw: int = 32, seed: int = 0) -> SyntheticImageDataset:
+                 hw: int = _HW, seed: int = 0) -> SyntheticImageDataset:
     """10-class, 32x32x3 stand-in for CIFAR-10."""
     return generate("cifar10-like", num_classes=10, n_train=n_train,
-                    n_test=n_test, hw=hw, seed=seed)
+                    n_test=n_test, hw=hw, channels=_CHANNELS, seed=seed)
 
 
 def cifar100_like(n_train: int = 4000, n_test: int = 1000,
-                  hw: int = 32, num_classes: int = 100,
+                  hw: int = _HW, num_classes: int = 100,
                   seed: int = 1) -> SyntheticImageDataset:
     """100-class, 32x32x3 stand-in for CIFAR-100.
 
@@ -21,11 +29,11 @@ def cifar100_like(n_train: int = 4000, n_test: int = 1000,
     configuration keeps all 100).
     """
     return generate("cifar100-like", num_classes=num_classes,
-                    n_train=n_train, n_test=n_test, hw=hw, noise=1.5,
-                    seed=seed)
+                    n_train=n_train, n_test=n_test, hw=hw,
+                    channels=_CHANNELS, noise=1.5, seed=seed)
 
 
-def imagenet_like(n_train: int = 4000, n_test: int = 1000, hw: int = 32,
+def imagenet_like(n_train: int = 4000, n_test: int = 1000, hw: int = _HW,
                   num_classes: int = 50,
                   seed: int = 2) -> SyntheticImageDataset:
     """Reduced-resolution, reduced-class stand-in for ImageNet.
@@ -36,8 +44,8 @@ def imagenet_like(n_train: int = 4000, n_test: int = 1000, hw: int = 32,
     configurable scale (documented in DESIGN.md).
     """
     return generate("imagenet-like", num_classes=num_classes,
-                    n_train=n_train, n_test=n_test, hw=hw, noise=1.5,
-                    max_shift=3, seed=seed)
+                    n_train=n_train, n_test=n_test, hw=hw,
+                    channels=_CHANNELS, noise=1.5, max_shift=3, seed=seed)
 
 
 _BUILDERS = {

@@ -33,6 +33,11 @@ from repro.power.characterization import WeightPowerTable
 from repro.systolic import TransitionStatsCollector
 from repro.timing.profile import WeightTimingTable
 
+#: Version of :meth:`ExperimentContext.timing_table` artifacts.  v2:
+#: per-weight child RNG transition subsampling (order/shard
+#: independent).
+TIMING_CANDIDATES_VERSION = "2"
+
 
 class ExperimentContext:
     """Cached pipeline stages for one network/dataset at one scale.
@@ -142,9 +147,7 @@ class ExperimentContext:
         config = self.config
         return hash_key({
             "stage": "timing_table/candidates",
-            # v2: per-weight child RNG transition subsampling
-            # (order/shard independent).
-            "version": "2",
+            "version": TIMING_CANDIDATES_VERSION,
             "backend": backend_key_payload(config),
             "config": {
                 "timing_transitions": config.timing_transitions,
@@ -178,8 +181,8 @@ class ExperimentContext:
 
     def measure_power(self, model: Module, vdd: Optional[float] = None):
         """(Standard HW, Optimized HW) power of ``model``."""
-        return self.runner.ops.measure_power(model, self.dataset,
-                                             self.power_table, vdd=vdd)
+        return self.runner.ops.measure_power(model, self.power_table,
+                                             vdd=vdd)
 
     def report(self) -> PowerPruningReport:
         """The full pipeline's Table I report (cached end to end)."""

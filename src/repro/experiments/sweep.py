@@ -57,7 +57,7 @@ from typing import (
 )
 
 from repro.core.artifacts import ArtifactStore, hash_key
-from repro.core.pipeline import PipelineConfig
+from repro.core.pipeline import POWER_PRUNING_GRAPH, PipelineConfig
 from repro.core.stages import backend_key_payload, shared_stage_keys
 from repro.experiments.config import (
     NETWORK_SPECS,
@@ -69,7 +69,10 @@ from repro.experiments.parallel import (
     default_jobs,
     parallel_map,
 )
-from repro.experiments.runner import ExperimentContext
+from repro.experiments.runner import (
+    TIMING_CANDIDATES_VERSION,
+    ExperimentContext,
+)
 from repro.experiments.stats import (
     AggregateRow,
     aggregate_cell,
@@ -465,11 +468,15 @@ def point_cache_key(point: SweepPoint, config: PipelineConfig) -> str:
     and every result-relevant config field, so a re-run (or a larger
     sweep containing this point) reuses the finished row — including
     its per-threshold retraining, which is not a pipeline stage of its
-    own.
+    own.  The stage graph's fingerprint and the candidate timing-table
+    version cover the code that computed the row: bumping a stage
+    version or rewiring a stage invalidates every finished row.
     """
     return hash_key({
         "stage": f"sweep/{point.experiment}",
         "version": "1",
+        "graph": POWER_PRUNING_GRAPH.fingerprint(),
+        "timing_candidates": TIMING_CANDIDATES_VERSION,
         "backend": backend_key_payload(config),
         "threshold": point.threshold,
         "config": {f.name: getattr(config, f.name)

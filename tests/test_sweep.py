@@ -1,14 +1,14 @@
 """Tests for the declarative sweep engine and parallel error naming."""
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.artifacts import ArtifactStore
-from repro.core.stages import shared_stage_keys
+from repro.core.stages import StageGraph, shared_stage_keys
 from repro.experiments import sweep as sweep_mod
 from repro.experiments.config import NETWORK_SPECS
 from repro.experiments.parallel import ParallelTaskError, parallel_map
@@ -192,6 +192,15 @@ class TestGridExpansionProperties:
         assert len(keys) == len(points)
 
 
+def _graph_with(name: str, **changes) -> StageGraph:
+    """The pipeline graph with one stage's declaration changed."""
+    graph = StageGraph()
+    for stage in sweep_mod.POWER_PRUNING_GRAPH:
+        graph.add(replace(stage, **changes) if stage.name == name
+                  else stage)
+    return graph
+
+
 class TestCacheKeys:
     def test_char_jobs_and_verbose_never_in_point_cache_key(self):
         point = expand(make_sweep_spec("fig8", scale="smoke"))[0]
@@ -199,6 +208,33 @@ class TestCacheKeys:
         sharded = point_cache_key(
             point, point_config(point, char_jobs=8, verbose=True))
         assert baseline == sharded
+
+    @pytest.mark.parametrize("name, changes", [
+        ("delay_selection", {"version": "2"}),
+        ("accel_schedule", {"deps": ("dataset", "pruned")}),
+        ("report", {"fields": ("network",)}),
+    ], ids=["version", "deps", "fields"])
+    def test_stage_declaration_change_invalidates_finished_points(
+            self, monkeypatch, name, changes):
+        """A warm cache never serves rows older stage code computed."""
+        points = [expand(make_sweep_spec(experiment, scale="smoke"))[0]
+                  for experiment in ("fig8", "accel")]
+        before = [point_cache_key(p, point_config(p)) for p in points]
+        monkeypatch.setattr(sweep_mod, "POWER_PRUNING_GRAPH",
+                            _graph_with(name, **changes))
+        after = [point_cache_key(p, point_config(p)) for p in points]
+        assert all(a != b for a, b in zip(before, after))
+
+    def test_candidate_timing_version_invalidates_finished_points(
+            self, monkeypatch):
+        point = expand(make_sweep_spec("fig9", scale="smoke"))[0]
+        before = point_cache_key(point, point_config(point))
+        monkeypatch.setattr(sweep_mod, "TIMING_CANDIDATES_VERSION", "3")
+        assert point_cache_key(point, point_config(point)) != before
+
+    def test_graph_fingerprint_is_computed_once(self):
+        graph = sweep_mod.POWER_PRUNING_GRAPH
+        assert graph.fingerprint() is graph.fingerprint()
 
     def test_threshold_only_neighbours_share_the_whole_prefix(self):
         spec = make_sweep_spec("fig8", thresholds=(None, 900.0),

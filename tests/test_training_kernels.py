@@ -34,8 +34,10 @@ from repro.nn.autograd import Tensor
 from repro.nn.restrict import ActivationFilter, WeightRestriction
 from repro.nn.trainer import Trainer
 
-#: Images the power measurement runs through the network.
-POWER_BATCH = 2
+#: A small batch, checked forward and backward.  The power and
+#: accelerator traces run one zero image but read only layer shapes
+#: from it, so their outputs need no bit identity.
+SMALL_BATCH = 2
 
 
 def pipeline_batches(scale):
@@ -43,16 +45,16 @@ def pipeline_batches(scale):
     each mapped to whether its backward is checked too.
 
     Training runs the training batch and the tail of an epoch; the
-    evaluation batch and its tail, the statistics batch and the power
-    batch only run forward.  Backward is checked up to the training
-    batch size, where it is cheap.
+    evaluation batch and its tail and the statistics batch only run
+    forward.  :data:`SMALL_BATCH` joins them.  Backward is checked up to
+    the training batch size, where it is cheap.
     """
     s = SCALES[scale]
     train = PipelineConfig().batch_size
     evaluate = inspect.signature(Trainer.evaluate) \
         .parameters["batch_size"].default
     sizes = {train, s.n_train % train, min(s.n_test, evaluate),
-             s.n_test % evaluate, s.stats_batch, POWER_BATCH} - {0}
+             s.n_test % evaluate, s.stats_batch, SMALL_BATCH} - {0}
     return {size: size <= train for size in sizes}
 
 
