@@ -13,7 +13,6 @@ per-weight RNG seeding must keep the results bit-for-bit identical
 while the wall-time drops by at least 2x.
 """
 
-import os
 import time
 
 import numpy as np
@@ -21,6 +20,7 @@ import pytest
 from conftest import run_once
 
 from repro.cells import default_library
+from repro.core.ladder import usable_cores
 from repro.core.pipeline import PowerPruner
 from repro.experiments.config import NETWORK_SPECS, pipeline_config
 from repro.netlist import build_mac_unit
@@ -71,7 +71,7 @@ def _build_characterizer(n_samples: int) -> WeightPowerCharacterizer:
 def test_characterization_shard_speedup(benchmark, scale):
     """Sharding the per-weight stage across 4 processes: >= 2x, and
     bit-for-bit identical to the serial run."""
-    cores = os.cpu_count() or 1
+    cores = usable_cores()
     if cores < 4:
         pytest.skip(f"4-way shard speedup needs >= 4 cores, have "
                     f"{cores} (bitwise equality is covered by "

@@ -8,6 +8,8 @@
   selection with retraining (Sec. III-A + III-C).
 * :mod:`repro.core.delay_selection` — iterative delay-threshold weight
   and activation selection with retraining (Sec. III-B + III-C).
+* :mod:`repro.core.ladder` — runs the retraining steps of both searches
+  side by side in forked children, bit-identical to the serial search.
 * :mod:`repro.core.voltage_scaling` — supply-voltage scaling from the
   achieved delay reduction.
 * :mod:`repro.core.artifacts` — content-addressed artifact store

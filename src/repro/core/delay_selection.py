@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
+from repro.core.ladder import run_ladder
 from repro.nn.layers import Module
 from repro.nn.restrict import ActivationFilter, WeightRestriction
 from repro.timing.profile import WeightTimingTable
@@ -19,8 +20,6 @@ from repro.timing.selection import DelaySelector, SelectionResult
 
 #: The paper's schedule: 170 ps down to 140 ps in 10 ps steps.
 DEFAULT_THRESHOLDS_PS = (170.0, 160.0, 150.0, 140.0)
-
-RetrainFn = Callable[[Module], float]
 
 
 @dataclass
@@ -45,7 +44,8 @@ class DelaySelectionOutcome:
 
 def delay_threshold_search(model: Module, table: WeightTimingTable,
                            candidate_weights: Sequence[int],
-                           retrain: RetrainFn, original_accuracy: float,
+                           retrain: Callable[[Module], float],
+                           original_accuracy: float,
                            thresholds: Sequence[float] =
                            DEFAULT_THRESHOLDS_PS,
                            max_drop_fraction: float = 0.05,
@@ -53,13 +53,21 @@ def delay_threshold_search(model: Module, table: WeightTimingTable,
                            seed: int = 2023) -> DelaySelectionOutcome:
     """Lower the delay threshold while accuracy holds.
 
+    The steps run as a speculative ladder (:func:`run_ladder`): each
+    retrains from the same start state, some in forked children, and
+    the outcome equals the serial search's bit for bit.
+
     Args:
         model: Power-selected, retrained network (modified in place; on
             return it carries the accepted weight restriction and
-            activation filter).
+            activation filter, or, if no threshold passed, its entry
+            weights and restriction and no activation filter).
         table: Timing characterization of the candidate weights.
         candidate_weights: Weight values that survived power selection.
         retrain: Retrains the model in place, returns test accuracy.
+            It must be a pure function of the model it receives
+            (weights, buffers and restriction): steps may run in
+            forked children on a copy of the model.
         original_accuracy: The network's original accuracy; the paper
             stops when the drop reaches ~5% of it.
         thresholds: Descending thresholds in ps.
@@ -70,31 +78,38 @@ def delay_threshold_search(model: Module, table: WeightTimingTable,
     thresholds = sorted(thresholds, reverse=True)
     floor_accuracy = original_accuracy * (1.0 - max_drop_fraction)
     selector = DelaySelector(table, n_restarts=n_restarts)
-    history: List[Tuple[float, int, int, float]] = []
-    accepted = None
-
     start_state = model.state_dict()
-    for threshold in thresholds:
+    # Restrictions are not part of the state dict.
+    entry_restrictions = [(layer, layer.weight_restriction)
+                          for layer in model.quantized_layers()]
+
+    def trial(threshold: float):
         selection = selector.select(threshold,
                                     candidate_weights=candidate_weights,
                                     seed=seed)
         if selection.n_weights < 2:
-            break  # removal left nothing trainable
+            return None  # removal left nothing trainable
         model.load_state_dict(start_state)
         model.set_weight_restriction(
             WeightRestriction(selection.weights))
         model.set_activation_filter(
             ActivationFilter(selection.activations))
         acc = retrain(model)
-        history.append((threshold, selection.n_weights,
-                        selection.n_activations, acc))
-        if acc >= floor_accuracy:
-            accepted = (threshold, selection, acc, model.state_dict())
-        else:
-            break
+        return ((threshold, selection.n_weights, selection.n_activations,
+                 acc), selection, model.state_dict())
 
-    if accepted is None:
+    def passed(result) -> bool:
+        return result is not None and result[0][3] >= floor_accuracy
+
+    tried = [result for result in run_ladder(trial, thresholds, passed)
+             if result is not None]
+    history = [entry for entry, __, __ in tried]
+    accepted = [result for result in tried if passed(result)]
+
+    if not accepted:
         model.load_state_dict(start_state)
+        for layer, restriction in entry_restrictions:
+            layer.weight_restriction = restriction
         model.set_activation_filter(None)
         return DelaySelectionOutcome(
             threshold_ps=None,
@@ -106,7 +121,7 @@ def delay_threshold_search(model: Module, table: WeightTimingTable,
             history=history,
         )
 
-    threshold, selection, acc, state = accepted
+    (threshold, __, __, acc), selection, state = accepted[-1]
     model.load_state_dict(state)
     model.set_weight_restriction(WeightRestriction(selection.weights))
     model.set_activation_filter(ActivationFilter(selection.activations))

@@ -13,14 +13,13 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.ladder import run_ladder
 from repro.nn.layers import Module
 from repro.nn.restrict import WeightRestriction
 from repro.power.characterization import WeightPowerTable
 
 #: The paper's threshold schedule (µW), from the initial 900 downwards.
 DEFAULT_THRESHOLDS_UW = (900.0, 850.0, 825.0, 800.0)
-
-RetrainFn = Callable[[Module], float]
 
 
 @dataclass
@@ -46,11 +45,16 @@ class PowerSelectionOutcome:
 
 
 def power_threshold_search(model: Module, table: WeightPowerTable,
-                           retrain: RetrainFn, baseline_accuracy: float,
+                           retrain: Callable[[Module], float],
+                           baseline_accuracy: float,
                            thresholds: Sequence[float] =
                            DEFAULT_THRESHOLDS_UW,
                            max_drop: float = 0.03) -> PowerSelectionOutcome:
     """Find the lowest power threshold the network tolerates.
+
+    The steps run as a speculative ladder (:func:`run_ladder`): each
+    retrains from the same start state, some in forked children, and
+    the outcome equals the serial search's bit for bit.
 
     Args:
         model: Trained (and conventionally pruned) network; modified in
@@ -58,30 +62,38 @@ def power_threshold_search(model: Module, table: WeightPowerTable,
             retrained weights.
         table: Per-weight power characterization.
         retrain: Retrains the model in place and returns test accuracy.
+            It must be a pure function of the model it receives
+            (weights, buffers and restriction): steps may run in
+            forked children on a copy of the model.
         baseline_accuracy: Accuracy before any restriction.
         thresholds: Descending threshold schedule in µW.
         max_drop: Acceptable absolute accuracy drop ("starts to drop
             noticeably" operationalized).
     """
     thresholds = sorted(thresholds, reverse=True)
-    history: List[Tuple[float, int, float]] = []
-    accepted: Optional[Tuple[float, np.ndarray, float, dict]] = None
-
     start_state = model.state_dict()
-    for threshold in thresholds:
+
+    def trial(threshold: float):
         allowed = table.select_below(threshold)
         if allowed.size < 2:
-            break  # only the zero weight left; nothing can be learned
+            return None  # only the zero weight left; nothing can be learned
         model.load_state_dict(start_state)
         model.set_weight_restriction(WeightRestriction(allowed))
         acc = retrain(model)
-        history.append((threshold, int(allowed.size), acc))
-        if acc >= baseline_accuracy - max_drop:
-            accepted = (threshold, allowed, acc, model.state_dict())
-        else:
-            break  # accuracy dropped noticeably; keep the previous step
+        return (threshold, int(allowed.size), acc), allowed, model.state_dict()
 
-    if accepted is None:
+    def passed(result) -> bool:
+        # Below the budget the accuracy "dropped noticeably"; the
+        # previous step is kept.
+        return (result is not None
+                and result[0][2] >= baseline_accuracy - max_drop)
+
+    tried = [result for result in run_ladder(trial, thresholds, passed)
+             if result is not None]
+    history = [entry for entry, __, __ in tried]
+    accepted = [result for result in tried if passed(result)]
+
+    if not accepted:
         # No threshold tolerated: revert to the unrestricted network.
         model.load_state_dict(start_state)
         model.set_weight_restriction(None)
@@ -92,7 +104,7 @@ def power_threshold_search(model: Module, table: WeightPowerTable,
             history=history,
         )
 
-    threshold, allowed, acc, state = accepted
+    (threshold, __, acc), allowed, state = accepted[-1]
     model.load_state_dict(state)
     model.set_weight_restriction(WeightRestriction(allowed))
     return PowerSelectionOutcome(

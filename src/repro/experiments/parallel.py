@@ -27,8 +27,6 @@ Failure semantics come in two flavours:
 
 from __future__ import annotations
 
-import os
-import pickle
 import random
 import time
 import traceback
@@ -39,6 +37,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Sequence, Tuple, \
     TypeVar, Union
 
+from repro.core.ladder import share_cores, shippable_exception, \
+    usable_cores
 from repro.core.report import PowerPruningReport
 from repro.experiments.config import NETWORK_SPECS, NetworkSpec
 from repro.hw import DEFAULT_BACKEND_ID, HardwareBackend, get_backend
@@ -57,7 +57,7 @@ class ParallelTaskError(RuntimeError):
 
 def default_jobs() -> int:
     """Worker count when ``--jobs 0`` asks for "all cores"."""
-    return max(1, os.cpu_count() or 1)
+    return usable_cores()
 
 
 def retry_backoff_delay(base_s: float, attempt: int,
@@ -137,21 +137,6 @@ class TaskOutcome:
         return self.failure is None
 
 
-def _shippable_exception(error: BaseException
-                         ) -> Optional[BaseException]:
-    """``error`` if it survives a pickle round-trip, else ``None``.
-
-    Worker exceptions travel back to the parent inside the result
-    payload; an unpicklable one (custom ``__init__`` signatures, open
-    handles in args) must not crash the transport a second time.
-    """
-    try:
-        pickle.loads(pickle.dumps(error))
-        return error
-    except Exception:
-        return None
-
-
 def _call_guarded(packed: Tuple[Callable[[T], R], int, T]
                   ) -> Tuple[bool, Any]:
     """Worker wrapper: ``(True, result)`` or ``(False, failure info)``."""
@@ -161,7 +146,7 @@ def _call_guarded(packed: Tuple[Callable[[T], R], int, T]
     except Exception as error:
         return False, (index, describe_task(item),
                        traceback.format_exc(),
-                       _shippable_exception(error))
+                       shippable_exception(error))
 
 
 def _pool_outcomes(fn: Callable[[T], R], items: Sequence[T], jobs: int,
@@ -179,7 +164,9 @@ def _pool_outcomes(fn: Callable[[T], R], items: Sequence[T], jobs: int,
     outcomes: List[Union[None, Tuple[bool, Any], TaskFailure]] = \
         [None] * len(items)
     deadline = None if timeout is None else time.monotonic() + timeout
-    pool = ProcessPoolExecutor(max_workers=jobs)
+    # Workers record their share of the cores for threshold ladders.
+    pool = ProcessPoolExecutor(max_workers=jobs, initializer=share_cores,
+                               initargs=(jobs,))
     try:
         futures = {
             pool.submit(_call_guarded, (fn, index, item)): index

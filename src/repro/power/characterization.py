@@ -21,7 +21,6 @@ results (calibration happens after the shards merge).
 from __future__ import annotations
 
 import json
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -416,7 +415,8 @@ class WeightPowerCharacterizer:
         if jobs is None:
             jobs = 1
         elif jobs == 0:
-            jobs = os.cpu_count() or 1
+            from repro.core.ladder import usable_cores
+            jobs = usable_cores()
         jobs = max(1, min(jobs, weights.size))
         if jobs == 1:
             energies_fj = _chunk_energies(

@@ -27,7 +27,6 @@ mirroring the sharded power characterization in
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -525,7 +524,8 @@ class WeightTimingTable:
         if jobs is None:
             jobs = 1
         elif jobs == 0:
-            jobs = os.cpu_count() or 1
+            from repro.core.ladder import usable_cores
+            jobs = usable_cores()
         jobs = max(1, min(jobs, weights.size))
         if jobs == 1:
             slow = _profile_chunk(

@@ -9,6 +9,7 @@ from repro.core import (
     PipelineConfig,
     PowerPruner,
     PowerPruningReport,
+    delay_threshold_search,
     extract_workloads,
     format_table1,
     magnitude_prune,
@@ -19,10 +20,11 @@ from repro.core.power_selection import PowerSelectionOutcome
 from repro.core.workloads import largest_conv_workloads
 from repro.data import cifar10_like
 from repro.models import LeNet5
-from repro.nn import Tensor, Trainer, TrainingConfig
+from repro.nn import Tensor, Trainer, TrainingConfig, WeightRestriction
 from repro.power.characterization import WeightPowerTable
 from repro.power.estimator import PowerBreakdown
 from repro.systolic import SystolicConfig
+from repro.timing import WeightTimingTable
 
 
 @pytest.fixture(scope="module")
@@ -111,11 +113,15 @@ def _toy_power_table():
 
 class TestPowerThresholdSearch:
     def _retrain_stub(self, accuracies):
-        """Deterministic retrain function returning queued accuracies."""
-        queue = list(accuracies)
+        """Pure retrain stub: accuracy keyed on the restriction's size.
 
+        The toy table keeps 201/181/161 weights at 900/850/800 µW; the
+        searches may retrain their steps in any order, in forked
+        children.
+        """
         def retrain(model):
-            return queue.pop(0) if queue else 0.0
+            restriction = model.quantized_layers()[0].weight_restriction
+            return accuracies.get(len(restriction), 0.0)
 
         return retrain
 
@@ -123,7 +129,8 @@ class TestPowerThresholdSearch:
         model = LeNet5(width_mult=0.25)
         table = _toy_power_table()
         outcome = power_threshold_search(
-            model, table, self._retrain_stub([0.90, 0.89, 0.70]),
+            model, table,
+            self._retrain_stub({201: 0.90, 181: 0.89, 161: 0.70}),
             baseline_accuracy=0.90,
             thresholds=(900.0, 850.0, 800.0), max_drop=0.03)
         assert outcome.threshold_uw == 850.0
@@ -137,7 +144,7 @@ class TestPowerThresholdSearch:
         model = LeNet5(width_mult=0.25)
         table = _toy_power_table()
         outcome = power_threshold_search(
-            model, table, self._retrain_stub([0.10]),
+            model, table, self._retrain_stub({201: 0.10}),
             baseline_accuracy=0.90, thresholds=(900.0, 850.0),
             max_drop=0.03)
         assert outcome.threshold_uw is None
@@ -148,13 +155,64 @@ class TestPowerThresholdSearch:
         model = LeNet5(width_mult=0.25)
         table = _toy_power_table()
         outcome = power_threshold_search(
-            model, table, self._retrain_stub([0.9, 0.9]),
+            model, table, self._retrain_stub({201: 0.9, 161: 0.9}),
             baseline_accuracy=0.9, thresholds=(900.0, 800.0),
             max_drop=0.05)
         thresholds = [h[0] for h in outcome.history]
         counts = [h[1] for h in outcome.history]
         assert thresholds == [900.0, 800.0]
         assert counts[0] > counts[1]
+
+
+def _toy_timing_table():
+    """Weights -8..8; a threshold removes exactly the weights above it.
+
+    Weights 5..8 each have one slow combo on the protected zero
+    activation, so 170/160/150/140 ps remove 8/7-8/6-8/5-8.  Weight
+    -3's 5->9 transition forces a random removal of the weight or an
+    activation from 150 ps down.
+    """
+    slow = [(w, 0, 0, 135.0 + 10.0 * (w - 4)) for w in range(5, 9)]
+    slow.append((-3, 5, 9, 155.0))
+    combo_w, combo_f, combo_t, combo_d = (np.array(c) for c in zip(*slow))
+    weights = np.arange(-8, 9)
+    max_delay = np.full(weights.size, 120.0)
+    for weight, __, __, delay in slow:
+        max_delay[weight + 8] = delay
+    return WeightTimingTable(
+        weights=weights, max_delay_ps=max_delay, combo_weight=combo_w,
+        combo_act_from=combo_f, combo_act_to=combo_t,
+        combo_delay_ps=combo_d, floor_ps=90.0, time_scale=1.0,
+        psum_path_ps=100.0)
+
+
+class TestDelayThresholdSearch:
+    def test_accepts_every_passing_step(self):
+        table = _toy_timing_table()
+        outcome = delay_threshold_search(
+            LeNet5(width_mult=0.25), table,
+            candidate_weights=table.weights, retrain=lambda model: 0.9,
+            original_accuracy=0.9, n_restarts=2)
+        assert outcome.threshold_ps == 140.0
+        assert [h[:2] for h in outcome.history[:2]] == [(170.0, 16),
+                                                        (160.0, 15)]
+        assert outcome.selection.weights.max() == 4
+
+    def test_no_pass_restores_the_entry_restriction(self):
+        # Restrictions are not in the state dict; the model used to
+        # keep the restriction of the last failed step.
+        model = LeNet5(width_mult=0.25)
+        table = _toy_timing_table()
+        entry = WeightRestriction(table.weights)
+        model.set_weight_restriction(entry)
+        outcome = delay_threshold_search(
+            model, table, candidate_weights=table.weights,
+            retrain=lambda model: 0.0, original_accuracy=0.9,
+            n_restarts=2)
+        assert outcome.threshold_ps is None
+        assert [h[0] for h in outcome.history] == [170.0]
+        for layer in model.quantized_layers():
+            assert layer.weight_restriction is entry
 
 
 class TestVoltageScaling:
