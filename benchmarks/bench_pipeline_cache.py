@@ -20,8 +20,8 @@ import pytest
 from conftest import run_once
 
 from repro.cells import default_library
-from repro.core.ladder import usable_cores
 from repro.core.pipeline import PowerPruner
+from repro.cpus import usable_cores
 from repro.experiments.config import NETWORK_SPECS, pipeline_config
 from repro.netlist import build_mac_unit
 from repro.power import (

@@ -3,13 +3,14 @@
 The power and delay searches lower a threshold step by step and retrain
 at every step from the same start state, so the steps are independent
 except for where the stop rule ends the ladder.  :func:`run_ladder`
-runs them in waves as wide as this process's core share: the first
-trial of a wave runs inline, the others in forked children that pipe
-back their result.  The results are replayed in ladder order under the
-serial stop rule, so the outcome equals the serial loop's bit for bit;
-a speculative trial past the stop point is discarded, exception and
-all.  Children are forked, not spawned: a trial closes over the model
-and the dataset, which a fork shares instead of pickling.
+runs them in waves as wide as this process's core share allows beside
+its BLAS threads: the first trial of a wave runs inline, the others in
+forked children that pipe back their result.  The results are replayed
+in ladder order under the serial stop rule, so the outcome equals the
+serial loop's bit for bit; a speculative trial past the stop point is
+discarded, exception and all.  Children are forked, not spawned: a
+trial closes over the model and the dataset, which a fork shares
+instead of pickling.
 """
 
 from __future__ import annotations
@@ -21,19 +22,13 @@ import signal
 import traceback
 from typing import Callable, List, Optional, Sequence, TypeVar
 
+from repro.cpus import usable_cores
+
 S = TypeVar("S")
 T = TypeVar("T")
 
 #: How many ``parallel_map`` pool workers share this process's cores.
 _pool_jobs = 1
-
-
-def usable_cores() -> int:
-    """CPUs this process may run on: its affinity mask, not the host's."""
-    try:
-        return max(1, len(os.sched_getaffinity(0)))
-    except AttributeError:  # no affinity API (macOS, Windows)
-        return max(1, os.cpu_count() or 1)
 
 
 def share_cores(jobs: int) -> None:
@@ -42,15 +37,32 @@ def share_cores(jobs: int) -> None:
     _pool_jobs = jobs
 
 
-def ladder_width(steps: int) -> int:
-    """Trials per wave: this process's share of the usable cores.
+def _blas_threads() -> int:
+    """Threads one BLAS call may run, by OpenBLAS's rule.
 
-    One (the serial path, no child processes) where ``fork`` is not
-    available.
+    ``OPENBLAS_NUM_THREADS``, else ``OMP_NUM_THREADS``, else one per
+    usable core.
+    """
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "")
+        if value.isdigit() and int(value) > 0:
+            return int(value)
+    return usable_cores()
+
+
+def ladder_width(steps: int) -> int:
+    """Trials per wave: how many BLAS thread pools fit in this
+    process's share of the usable cores.
+
+    Every trial trains with the process's BLAS threads, so with BLAS at
+    its default of one thread per core the width is 1: a second trial
+    would oversubscribe the cores.  One (the serial path, no child
+    processes) also where ``fork`` is not available.
     """
     if "fork" not in multiprocessing.get_all_start_methods():
         return 1
-    return max(1, min(steps, usable_cores() // _pool_jobs))
+    share = usable_cores() // (_pool_jobs * _blas_threads())
+    return max(1, min(steps, share))
 
 
 def shippable_exception(error: BaseException) -> Optional[BaseException]:
@@ -93,8 +105,10 @@ class _Child:
         context = multiprocessing.get_context("fork")
         self.step = step
         self.conn, sender = context.Pipe(duplex=False)
+        # Daemonic: a parent that exits normally terminates it.
         self.process = context.Process(target=_child_main,
-                                       args=(trial, step, sender))
+                                       args=(trial, step, sender),
+                                       daemon=True)
         self.process.start()
         sender.close()  # EOF on ``conn`` once the child is gone
 
@@ -139,8 +153,12 @@ def run_ladder(trial: Callable[[S], T], steps: Sequence[S],
     forked at the start of the wave, so ``trial(step)`` must return
     the same whichever trials ran before it in its process, or none.
     Children only compute: they exit without running the parent's
-    cleanup.  On every exit path, ``KeyboardInterrupt`` included,
-    they are terminated and joined.
+    cleanup.  On every exit path that unwinds ``run_ladder``,
+    ``KeyboardInterrupt`` included, they are terminated and joined.  A
+    parent that exits normally mid-wave (a search on a daemon thread)
+    terminates them too.  If the parent process is killed outright,
+    each child runs to the end of its own trial and exits when it
+    cannot send the result.
     """
     width = ladder_width(len(steps))
     results: List[T] = []

@@ -37,9 +37,9 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Sequence, Tuple, \
     TypeVar, Union
 
-from repro.core.ladder import share_cores, shippable_exception, \
-    usable_cores
+from repro.core.ladder import share_cores, shippable_exception
 from repro.core.report import PowerPruningReport
+from repro.cpus import usable_cores
 from repro.experiments.config import NETWORK_SPECS, NetworkSpec
 from repro.hw import DEFAULT_BACKEND_ID, HardwareBackend, get_backend
 

@@ -29,6 +29,7 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.cells.library import CellLibrary
+from repro.cpus import usable_cores
 from repro.netlist.mac import MacUnit
 from repro.power.binning import BinnedTransitions
 from repro.power.estimator import PowerEstimator
@@ -415,7 +416,6 @@ class WeightPowerCharacterizer:
         if jobs is None:
             jobs = 1
         elif jobs == 0:
-            from repro.core.ladder import usable_cores
             jobs = usable_cores()
         jobs = max(1, min(jobs, weights.size))
         if jobs == 1:

@@ -35,6 +35,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.cells.library import CellLibrary
+from repro.cpus import usable_cores
 from repro.netlist.mac import MacUnit
 from repro.sim.dynamic_timing import (
     STREAM_WINDOW_SAMPLES,
@@ -524,7 +525,6 @@ class WeightTimingTable:
         if jobs is None:
             jobs = 1
         elif jobs == 0:
-            from repro.core.ladder import usable_cores
             jobs = usable_cores()
         jobs = max(1, min(jobs, weights.size))
         if jobs == 1:

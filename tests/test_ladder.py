@@ -2,12 +2,16 @@
 
 The ladder must return exactly what the serial loop returns, whatever
 width it runs at, and must leave no child process behind.  Widths are
-set by faking the usable core count.
+set by faking the usable core count and pinning BLAS to one thread.
 """
 
+import contextlib
 import multiprocessing
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -22,7 +26,8 @@ from repro.core import (
     power_threshold_search,
 )
 from repro.core import ladder
-from repro.core.ladder import ladder_width, run_ladder, usable_cores
+from repro.core.ladder import ladder_width, run_ladder
+from repro.cpus import usable_cores
 from repro.experiments.parallel import default_jobs, parallel_map
 
 pytestmark = pytest.mark.skipif(
@@ -30,8 +35,18 @@ pytestmark = pytest.mark.skipif(
     reason="the ladder runs serially without the fork start method")
 
 
-def _cores(n):
-    return mock.patch.object(ladder, "usable_cores", lambda: n)
+ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1"}
+
+
+@contextlib.contextmanager
+def _cores(n, blas_env=ONE_BLAS_THREAD):
+    """``n`` usable cores, BLAS thread variables set to ``blas_env``."""
+    with mock.patch.object(ladder, "usable_cores", lambda: n), \
+            mock.patch.dict(os.environ):
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            os.environ.pop(var, None)
+        os.environ.update(blas_env)
+        yield
 
 
 class StepError(Exception):
@@ -152,11 +167,17 @@ def test_interrupt_terminates_children():
     assert multiprocessing.active_children() == []
 
 
-def test_width_is_the_core_share():
-    assert ladder_width(1) == 1
-    assert ladder_width(4) == min(4, usable_cores())
+def test_width_is_the_core_share_over_blas_threads():
     with _cores(8):
+        assert ladder_width(1) == 1
         assert ladder_width(4) == 4
+    with _cores(8, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "8"}):
+        assert ladder_width(8) == 4
+    with _cores(8, {"OMP_NUM_THREADS": "4"}):
+        assert ladder_width(8) == 2
+    # Unset, OpenBLAS runs a thread per core: no room for a second trial.
+    with _cores(8, {}):
+        assert ladder_width(4) == 1
 
 
 def _worker_width(steps):
@@ -165,7 +186,9 @@ def _worker_width(steps):
 
 def test_pool_workers_share_the_cores():
     jobs = usable_cores()
-    assert parallel_map(_worker_width, [4] * jobs, jobs=jobs) == [1] * jobs
+    with mock.patch.dict(os.environ, ONE_BLAS_THREAD):
+        widths = parallel_map(_worker_width, [4] * jobs, jobs=jobs)
+    assert widths == [1] * jobs
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
@@ -176,9 +199,41 @@ def test_all_cores_means_the_affinity_mask():
     try:
         assert usable_cores() == 1
         assert default_jobs() == 1
-        assert ladder_width(4) == 1
+        with mock.patch.dict(os.environ, ONE_BLAS_THREAD):
+            assert ladder_width(4) == 1
     finally:
         os.sched_setaffinity(0, mask)
+
+
+_EXIT_MID_WAVE = """
+import os, sys, threading, time
+from repro.core import ladder
+
+def trial(step):
+    if step == 1:
+        with open(sys.argv[1], "w") as handle:
+            handle.write(str(os.getpid()))
+    time.sleep(60)
+
+ladder.usable_cores = lambda: 2
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+threading.Thread(target=ladder.run_ladder, args=(trial, [0, 1], bool),
+                 daemon=True).start()
+while not os.path.getsize(sys.argv[1]):
+    time.sleep(0.05)
+"""
+
+
+def test_normal_exit_mid_wave_terminates_children(tmp_path):
+    """A search on a daemon thread does not hold up the parent's exit."""
+    pid_file = tmp_path / "child.pid"
+    pid_file.write_text("")
+    src = str(Path(ladder.__file__).resolve().parents[2])
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", _EXIT_MID_WAVE, str(pid_file)],
+                   check=True, timeout=30, env=env)
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(pid_file.read_text()), 0)
 
 
 def _search(width):
