@@ -2,17 +2,16 @@
 
 :meth:`~repro.systolic.energy.ArrayPowerModel.layer_power` reduces a
 whole tile schedule with one ``np.bincount`` over the stationary weight
-values; the original implementation (kept as
-:meth:`~repro.systolic.energy.ArrayPowerModel.layer_power_reference`)
-loops over tiles and fancy-indexes the per-PE dynamic LUT per tile.
-This benchmark pits the two against each other on realistic pruned
-layer shapes across several array geometries, asserting before timing
-anything that
+values; the original implementation (kept as an oracle in
+``tests/oracles/array_power.py``) loops over tiles and fancy-indexes
+the per-PE dynamic LUT per tile.  This benchmark pits the two against
+each other on realistic pruned layer shapes across several array
+geometries, asserting before timing anything that
 
-* the one-shot bincount and the per-tile counting loop produce
+* the one-shot bincount and the oracle's per-tile counting loop produce
   **bit-equal** :class:`~repro.systolic.energy.ScheduleCounts` (the
-  counts are exact integers in float64), so ``vectorized=True`` and
-  ``vectorized=False`` yield bit-identical power, and
+  counts are exact integers in float64), and so bit-identical power,
+  and
 * the vectorized result agrees with the reference oracle to float
   round-off (the oracle sums per-tile in a different association
   order).
@@ -43,8 +42,11 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
 
+from oracles import array_power as oracle  # noqa: E402
 from repro.power.characterization import WeightPowerTable  # noqa: E402
 from repro.systolic import (  # noqa: E402
     OPTIMIZED_HW,
@@ -99,9 +101,8 @@ def verify(cases) -> float:
     deviation against the reference."""
     worst = 0.0
     for __, model, schedule, weights in cases:
-        fast = schedule_value_counts(schedule, weights, vectorized=True)
-        slow = schedule_value_counts(schedule, weights,
-                                     vectorized=False)
+        fast = schedule_value_counts(schedule, weights)
+        slow = oracle.schedule_value_counts_loop(schedule, weights)
         assert np.array_equal(fast.weight_counts, slow.weight_counts)
         assert fast.tile_pe_cycles == slow.tile_pe_cycles
         assert fast.idle_row_pe_cycles == slow.idle_row_pe_cycles
@@ -109,11 +110,11 @@ def verify(cases) -> float:
         assert fast.total_cycles == slow.total_cycles
         for variant in (STANDARD_HW, OPTIMIZED_HW):
             vec = model.layer_power(schedule, weights, variant)
-            loop = model.layer_power(schedule, weights, variant,
-                                     vectorized=False)
+            loop = oracle.layer_power_loop(model, schedule, weights,
+                                           variant)
             assert vec == loop, "vectorized != per-tile counting loop"
-            ref = model.layer_power_reference(schedule, weights,
-                                              variant)
+            ref = oracle.layer_power_reference(model, schedule, weights,
+                                               variant)
             for got, want in ((vec.dynamic_uw, ref.dynamic_uw),
                               (vec.leakage_uw, ref.leakage_uw)):
                 assert np.isclose(got, want, rtol=1e-9), \
@@ -125,20 +126,26 @@ def verify(cases) -> float:
 
 def bench(cases, repeats: int):
     """Summed wall time of each implementation over the workload."""
-    def run_all(fn_name):
+    def vectorized(model, schedule, weights):
+        return model.layer_power(schedule, weights, OPTIMIZED_HW)
+
+    def reference(model, schedule, weights):
+        return oracle.layer_power_reference(model, schedule, weights,
+                                            OPTIMIZED_HW)
+
+    def run_all(fn):
         start = time.perf_counter()
         for __ in range(repeats):
             for __, model, schedule, weights in cases:
-                fn = getattr(model, fn_name)
-                fn(schedule, weights, OPTIMIZED_HW)
+                fn(model, schedule, weights)
         return (time.perf_counter() - start) / repeats
 
     # Warm-up, then time.
-    run_all("layer_power")
-    run_all("layer_power_reference")
+    run_all(vectorized)
+    run_all(reference)
     return {
-        "vectorized_s": run_all("layer_power"),
-        "reference_s": run_all("layer_power_reference"),
+        "vectorized_s": run_all(vectorized),
+        "reference_s": run_all(reference),
     }
 
 

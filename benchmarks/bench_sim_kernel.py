@@ -1,48 +1,39 @@
-"""Benchmark the gate-simulation kernels: legacy vs levelized vs packed.
+"""Benchmark the gate-simulation kernels against their reference walks.
 
 Times the two workload shapes every experiment bottoms out in, on the
-default MAC unit:
+default MAC unit, under production and under the walk production
+replaced (``tests/oracles/sim_kernels.py``):
 
 * **power-shaped** — one stacked before/after evaluation of the full
   MAC plus per-net toggle-rate extraction (the Sec. III-A per-weight
-  power characterization inner loop);
+  power characterization inner loop): the per-gate boolean walk vs the
+  level program over packed words;
 * **DTA-shaped** — per-transition arrival-time propagation through the
-  multiplier with a frozen weight (the Sec. III-B per-weight dynamic
-  timing analysis inner loop);
+  multiplier with a frozen weight, read at the product bus (the
+  Sec. III-B per-weight dynamic timing analysis inner loop): the
+  two-pass per-net walk vs the streaming ``dynamic_bus_arrivals`` with
+  the profiler's reused scratch buffers;
 * **characterization-table-shaped** — the full 255-weight power table,
-  per-weight loop (the pre-megabatch implementation, frozen below as
-  the baseline) vs the one-launch weight-batched path, plus the
-  analogous per-weight vs flat-batched timing table.
+  the pre-megabatch per-weight loop (the frozen oracle) vs the
+  one-launch weight-batched path, plus the analogous per-weight vs
+  flat-batched timing table.
 
-Each workload runs under the legacy interpreted walk (the pre-kernel
-evaluator, kept as ``kernel="reference"``), the levelized boolean
-kernel, and the bit-packed word kernel, asserting all three agree
-bit-for-bit before timing anything.  A fourth section pits the
-**compiled level-program kernel** (numba JIT when the optional extra
-is installed, vectorized numpy program executor otherwise — see
-:mod:`repro.sim.compiled`) against the packed group walk on the same
-two shapes, with the streaming ``dynamic_bus_arrivals`` entry point on
-the DTA side.  Results (wall times, sample throughputs, speedups,
-netlist/schedule stats) are written to a machine-readable JSON to seed
-the perf trajectory; the characterization-table section goes to its
-own ``BENCH_char_batch.json`` and the compiled-kernel section to
-``BENCH_compiled_kernel.json``.  Every platform block records the
-active kernel and the numba probe, so a result is never read against
-the wrong executor.
+Every shape asserts bit-for-bit equality before timing anything.
+Results (wall times, throughputs, speedups, netlist and program stats)
+go to ``BENCH_sim_kernel.json``; the characterization-table section
+goes to its own ``BENCH_char_batch.json``.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_sim_kernel.py
     PYTHONPATH=src python benchmarks/bench_sim_kernel.py --quick
 
-The full run enforces the PR's acceptance floors (packed >= 5x legacy
-on the power shape, fused DTA >= 3x legacy); ``--quick`` shrinks the
-batches for CI smoke and only asserts the packed kernel is not slower
-than the legacy one.  The one-launch characterization floor (>= 3x
-over the per-weight-loop baseline, serial) holds in *both* modes, as
-does the compiled-kernel fallback floor (not slower than packed); with
-the JIT executor active the full run additionally demands >= 2x on
-the streaming DTA shape.
+The full run enforces the acceptance floors (production >= 5x the
+reference walk on the power shape, >= 3x on the DTA shape);
+``--quick`` shrinks the batches for CI smoke and only asserts
+production is not slower.  The one-launch characterization floor
+(>= 3x over the per-weight-loop baseline, serial) holds in *both*
+modes.
 """
 
 from __future__ import annotations
@@ -56,8 +47,11 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
 
+from oracles import sim_kernels as oracle  # noqa: E402
 from repro.cells import default_library  # noqa: E402
 from repro.netlist import build_mac_unit  # noqa: E402
 from repro.power.binning import (  # noqa: E402
@@ -66,27 +60,16 @@ from repro.power.binning import (  # noqa: E402
 )
 from repro.power.characterization import (  # noqa: E402
     WeightPowerCharacterizer,
-    weight_seed_sequence,
 )
-from repro.power.transitions import (  # noqa: E402
-    TransitionDistribution,
-    code_to_value,
-)
-from repro.sim.compiled import (  # noqa: E402
-    default_kernel,
-    jit_status,
-    set_process_kernel,
-)
+from repro.power.transitions import TransitionDistribution  # noqa: E402
 from repro.sim.dynamic_timing import (  # noqa: E402
     STREAM_WINDOW_SAMPLES,
     dynamic_arrival_times,
-    dynamic_arrival_times_reference,
     dynamic_bus_arrivals,
 )
 from repro.sim.logic import (  # noqa: E402
     WORD_DTYPE,
     bus_inputs,
-    evaluate,
     evaluate_words,
 )
 from repro.sim.switching import (  # noqa: E402
@@ -98,21 +81,15 @@ from repro.timing.profile import (  # noqa: E402
     WeightTimingTable,
 )
 
-#: Acceptance floors of the full benchmark (ISSUE 4).
+#: Acceptance floors of the full benchmark.
 POWER_SPEEDUP_FLOOR = 5.0
 DTA_SPEEDUP_FLOOR = 3.0
-#: ``--quick`` floor: packed must not be slower than legacy.
+#: ``--quick`` floor: production must not be slower than the reference.
 QUICK_SPEEDUP_FLOOR = 1.0
-#: One-launch characterization floor (ISSUE 6) — asserted in both
-#: modes: the full-table megabatch path must beat the frozen
-#: per-weight-loop baseline by at least this much, serially.
+#: One-launch characterization floor — asserted in both modes: the
+#: full-table megabatch path must beat the frozen per-weight-loop
+#: baseline by at least this much, serially.
 CHAR_SPEEDUP_FLOOR = 3.0
-#: Compiled-kernel floors (ISSUE 7): the fallback numpy program
-#: executor must never be slower than the packed group walk (both
-#: modes); the JIT executor, when active, must additionally deliver
-#: this much on the streaming DTA shape (full mode).
-COMPILED_FALLBACK_FLOOR = 1.0
-COMPILED_DTA_JIT_FLOOR = 2.0
 
 
 def _best_of(fn, repeats: int) -> float:
@@ -125,7 +102,7 @@ def _best_of(fn, repeats: int) -> float:
     return best
 
 
-def _power_feed(mac, n_samples: int, seed: int = 0):
+def _power_feed(n_samples: int, seed: int = 0):
     """A stacked before/after stimulus batch for the full MAC."""
     rng = np.random.default_rng(seed)
     feed = bus_inputs("act", rng.integers(-128, 128, 2 * n_samples), 8)
@@ -136,178 +113,86 @@ def _power_feed(mac, n_samples: int, seed: int = 0):
 
 
 def bench_power_shape(mac, n_samples: int, repeats: int) -> dict:
-    """Stacked evaluation + toggle rates, one per kernel."""
+    """Stacked evaluation + toggle rates, reference vs production."""
     packed = mac.full.packed()
-    feed = _power_feed(mac, n_samples)
+    packed.program  # built outside the timed region, like the pipeline
+    feed = _power_feed(n_samples)
 
-    def legacy():
-        return paired_toggle_rates(
-            evaluate(packed, feed, kernel="reference"))
+    def reference():
+        return paired_toggle_rates(oracle.evaluate_reference(packed, feed))
 
-    def levelized():
-        return paired_toggle_rates(
-            evaluate(packed, feed, kernel="levelized"))
-
-    def packed_kernel():
+    def production():
         return paired_toggle_rates_words(
             evaluate_words(packed, feed, pair_halves=True))
 
-    reference_rates = legacy()
-    np.testing.assert_array_equal(reference_rates, levelized())
-    np.testing.assert_array_equal(reference_rates, packed_kernel())
-
-    legacy_s = _best_of(legacy, repeats)
-    levelized_s = _best_of(levelized, repeats)
-    packed_s = _best_of(packed_kernel, repeats)
+    np.testing.assert_array_equal(reference(), production())
+    reference_s = _best_of(reference, repeats)
+    production_s = _best_of(production, repeats)
     return {
         "n_samples": n_samples,
-        "legacy_s": legacy_s,
-        "levelized_s": levelized_s,
-        "packed_s": packed_s,
-        "legacy_samples_per_s": 2 * n_samples / legacy_s,
-        "packed_samples_per_s": 2 * n_samples / packed_s,
-        "speedup_levelized": legacy_s / levelized_s,
-        "speedup_packed": legacy_s / packed_s,
+        "reference_s": reference_s,
+        "production_s": production_s,
+        "reference_samples_per_s": 2 * n_samples / reference_s,
+        "production_samples_per_s": 2 * n_samples / production_s,
+        "speedup": reference_s / production_s,
     }
 
 
 def bench_dta_shape(mac, library, n_transitions: int,
                     repeats: int) -> dict:
-    """Arrival-time propagation, legacy two-pass vs fused levelized.
+    """Product-bus arrival times, reference walk vs streaming DTA.
 
-    The fused side reuses one preallocated arrival buffer across calls,
-    exactly as :class:`~repro.timing.profile.WeightDelayProfiler` does
-    across its chunks and weights (the legacy evaluator allocated a
-    fresh matrix per call, so the allocation cost is part of what the
-    kernel removed).
+    The production side reuses one word matrix and one arrival slab
+    across calls, exactly as :class:`~repro.timing.profile.
+    WeightDelayProfiler` does across its chunks and weights (the
+    reference walk allocates fresh matrices per call, so the
+    allocation cost is part of what production removed).  The dense
+    ``dynamic_arrival_times`` is checked against the reference on every
+    net before timing, too.
     """
     packed = mac.multiplier.packed()
+    packed.program
     rng = np.random.default_rng(1)
     weight_bus = bus_inputs("w", np.full(n_transitions, -105), 8)
     before = bus_inputs("act", rng.integers(-128, 128, n_transitions), 8)
     before.update(weight_bus)
     after = bus_inputs("act", rng.integers(-128, 128, n_transitions), 8)
     after.update(weight_bus)
-    arrivals_buf = np.zeros((len(packed), n_transitions))
-
-    def legacy():
-        return dynamic_arrival_times_reference(packed, library, before,
-                                               after)
-
-    def fused():
-        return dynamic_arrival_times(packed, library, before, after,
-                                     out=arrivals_buf)
-
-    ref_arrivals, ref_toggled = legacy()
-    new_arrivals, new_toggled = fused()
-    new_arrivals = new_arrivals.copy()  # reused buffer; snapshot first
-    np.testing.assert_array_equal(ref_arrivals, new_arrivals)
-    np.testing.assert_array_equal(ref_toggled, new_toggled)
-
-    legacy_s = _best_of(legacy, repeats)
-    fused_s = _best_of(fused, repeats)
-    return {
-        "n_transitions": n_transitions,
-        "legacy_s": legacy_s,
-        "fused_s": fused_s,
-        "legacy_transitions_per_s": n_transitions / legacy_s,
-        "fused_transitions_per_s": n_transitions / fused_s,
-        "speedup_fused": legacy_s / fused_s,
-    }
-
-
-def bench_compiled_kernel(mac, library, n_power: int, n_dta: int,
-                          repeats: int) -> dict:
-    """Compiled level-program kernel vs the packed group walk.
-
-    Power shape: one stacked paired evaluation of the full MAC plus
-    toggle rates, per kernel.  DTA shape: the packed side is the dense
-    fused engine read at the product bus *with the packed word kernel*
-    (exactly what the profiler ran before this backend existed — the
-    dense engine has no kernel argument, so the process default pins
-    it); the compiled side is the streaming ``dynamic_bus_arrivals``
-    entry point with the profiler's reused scratch buffers.
-    Bit-for-bit equality is asserted before timing.  The DTA fallback
-    margin is structurally thin (the levelized propagation dominates
-    and is shared), so that shape gets extra repeats to keep the
-    best-of estimate out of the noise floor.
-    """
-    packed_full = mac.full.packed()
-    packed_full.program  # build outside the timed region, like the
-    packed_mult = mac.multiplier.packed()  # pipeline does
-    packed_mult.program
-    feed = _power_feed(mac, n_power)
-
-    def power_packed():
-        return paired_toggle_rates_words(
-            evaluate_words(packed_full, feed, pair_halves=True,
-                           kernel="packed"))
-
-    def power_compiled():
-        return paired_toggle_rates_words(
-            evaluate_words(packed_full, feed, pair_halves=True,
-                           kernel="compiled"))
-
-    np.testing.assert_array_equal(power_packed(), power_compiled())
-    power_packed_s = _best_of(power_packed, repeats)
-    power_compiled_s = _best_of(power_compiled, repeats)
-
-    rng = np.random.default_rng(1)
-    weight_bus = bus_inputs("w", np.full(n_dta, -105), 8)
-    before = bus_inputs("act", rng.integers(-128, 128, n_dta), 8)
-    before.update(weight_bus)
-    after = bus_inputs("act", rng.integers(-128, 128, n_dta), 8)
-    after.update(weight_bus)
     nets = np.asarray(
         mac.multiplier.output_bus("product", mac.product_bits),
         dtype=np.int64)
-    dense_buf = np.zeros((len(packed_mult), n_dta))
     words_buf = np.zeros(
-        (len(packed_mult), 2 * ((n_dta + 63) // 64)), dtype=WORD_DTYPE)
+        (len(packed), 2 * ((n_transitions + 63) // 64)), dtype=WORD_DTYPE)
     slab_buf = np.zeros(
-        (len(packed_mult), min(STREAM_WINDOW_SAMPLES, n_dta)))
+        (len(packed), min(STREAM_WINDOW_SAMPLES, n_transitions)))
 
-    def dta_packed():
-        set_process_kernel("packed")
-        try:
-            arrivals, __ = dynamic_arrival_times(
-                packed_mult, library, before, after, out=dense_buf)
-            return arrivals[nets]
-        finally:
-            set_process_kernel(None)
+    def reference():
+        arrivals, __ = oracle.dynamic_arrival_times_reference(
+            packed, library, before, after)
+        return arrivals[nets]
 
-    def dta_compiled():
-        return dynamic_bus_arrivals(
-            packed_mult, library, before, after, nets,
-            kernel="compiled", words_out=words_buf,
-            arrivals_out=slab_buf)
+    def production():
+        return dynamic_bus_arrivals(packed, library, before, after, nets,
+                                    words_out=words_buf,
+                                    arrivals_out=slab_buf)
 
-    np.testing.assert_array_equal(dta_packed(), dta_compiled())
-    dta_repeats = max(repeats, 9)
-    dta_packed_s = _best_of(dta_packed, dta_repeats)
-    dta_compiled_s = _best_of(dta_compiled, dta_repeats)
+    ref_arrivals, ref_toggled = oracle.dynamic_arrival_times_reference(
+        packed, library, before, after)
+    dense_arrivals, dense_toggled = dynamic_arrival_times(
+        packed, library, before, after)
+    np.testing.assert_array_equal(ref_arrivals, dense_arrivals)
+    np.testing.assert_array_equal(ref_toggled, dense_toggled)
+    np.testing.assert_array_equal(ref_arrivals[nets], production())
 
+    reference_s = _best_of(reference, repeats)
+    production_s = _best_of(production, repeats)
     return {
-        "executor": jit_status()["active"] and "jit" or "numpy",
-        "program": {
-            "mac_full": packed_full.program.stats(),
-            "multiplier": packed_mult.program.stats(),
-        },
-        "power_shape": {
-            "n_samples": n_power,
-            "packed_s": power_packed_s,
-            "compiled_s": power_compiled_s,
-            "compiled_samples_per_s": 2 * n_power / power_compiled_s,
-            "speedup_compiled": power_packed_s / power_compiled_s,
-        },
-        "dta_shape": {
-            "n_transitions": n_dta,
-            "packed_dense_s": dta_packed_s,
-            "compiled_streaming_s": dta_compiled_s,
-            "compiled_transitions_per_s": n_dta / dta_compiled_s,
-            "speedup_compiled": dta_packed_s / dta_compiled_s,
-        },
-        "bitwise_equal": True,
+        "n_transitions": n_transitions,
+        "reference_s": reference_s,
+        "production_s": production_s,
+        "reference_transitions_per_s": n_transitions / reference_s,
+        "production_transitions_per_s": n_transitions / production_s,
+        "speedup": reference_s / production_s,
     }
 
 
@@ -324,52 +209,6 @@ def _build_characterizer(n_samples: int) -> WeightPowerCharacterizer:
     )
 
 
-def _per_weight_loop_energies(char, weights, seed: int) -> np.ndarray:
-    """The pre-megabatch per-weight loop, frozen as the baseline.
-
-    ``rng.choice``-based stimulus sampling plus a dense per-weight
-    weight bus and one packed evaluation per weight — exactly the
-    characterization inner loop this PR's one-launch path replaces.
-    Bit-for-bit equal to both current paths (asserted before timing).
-    """
-    energies = np.empty(len(weights), dtype=np.float64)
-    n = char.n_samples
-    act = char.act_transitions
-    bt = char.psum_transitions
-    dist = bt.distribution
-    for i, weight in enumerate(weights):
-        rng = np.random.default_rng(
-            weight_seed_sequence(seed, int(weight)))
-        drawn = rng.choice(act.matrix.size, size=n,
-                           p=act.matrix.ravel())
-        acts = code_to_value(
-            np.concatenate([drawn // act.n_codes, drawn % act.n_codes]),
-            char.mac.act_bits)
-        drawn = rng.choice(dist.matrix.size, size=n,
-                           p=dist.matrix.ravel())
-        halves = []
-        for bin_ids in (drawn // dist.n_codes, drawn % dist.n_codes):
-            out = np.empty(n, dtype=np.int64)
-            for b in range(bt.binner.n_bins):
-                mask = bin_ids == b
-                count = int(mask.sum())
-                if count:
-                    out[mask] = rng.choice(bt.binner._exemplars[b],
-                                           size=count)
-            halves.append(out)
-        psums = np.concatenate(halves)
-
-        feed = bus_inputs("act", acts, char.mac.act_bits)
-        feed.update(bus_inputs(
-            "w", np.full(2 * n, int(weight), dtype=np.int64),
-            char.mac.weight_bits))
-        feed.update(bus_inputs("psum", psums, char.mac.psum_bits))
-        values = evaluate_words(char._packed, feed, pair_halves=True)
-        rates = paired_toggle_rates_words(values)
-        energies[i] = float(np.dot(rates, char._energies))
-    return energies
-
-
 def bench_char_table(n_samples: int, n_transitions: int,
                      repeats: int) -> dict:
     """Full characterization tables: per-weight loop vs one launch."""
@@ -377,15 +216,16 @@ def bench_char_table(n_samples: int, n_transitions: int,
     weights = list(range(-127, 128))
     seed = 2023
 
-    baseline = _per_weight_loop_energies(char, weights, seed)
-    oracle = char.dynamic_energies_fj(weights, seed)
+    baseline = oracle.prebatch_reference_energies(char, weights, seed)
+    per_weight = char.dynamic_energies_fj(weights, seed)
     batched = char.dynamic_energies_fj_batched(weights, seed)
-    np.testing.assert_array_equal(oracle, baseline)
+    np.testing.assert_array_equal(per_weight, baseline)
     np.testing.assert_array_equal(batched, baseline)
 
     loop_s = _best_of(
-        lambda: _per_weight_loop_energies(char, weights, seed), repeats)
-    oracle_s = _best_of(
+        lambda: oracle.prebatch_reference_energies(char, weights, seed),
+        repeats)
+    per_weight_s = _best_of(
         lambda: char.dynamic_energies_fj(weights, seed), repeats)
     batched_s = _best_of(
         lambda: char.dynamic_energies_fj_batched(weights, seed),
@@ -422,7 +262,7 @@ def bench_char_table(n_samples: int, n_transitions: int,
             "n_weights": len(weights),
             "n_samples": n_samples,
             "per_weight_loop_s": loop_s,
-            "per_weight_oracle_s": oracle_s,
+            "per_weight_oracle_s": per_weight_s,
             "one_launch_s": batched_s,
             "weights_per_s": len(weights) / batched_s,
             "speedup_one_launch": loop_s / batched_s,
@@ -440,9 +280,7 @@ def bench_char_table(n_samples: int, n_transitions: int,
 
 
 def run(quick: bool, json_path: Path, repeats: int,
-        char_json_path: Path = Path("BENCH_char_batch.json"),
-        compiled_json_path: Path = Path("BENCH_compiled_kernel.json"),
-        ) -> dict:
+        char_json_path: Path = Path("BENCH_char_batch.json")) -> dict:
     mac = build_mac_unit()
     library = default_library()
     n_power = 2000 if quick else 10000
@@ -454,42 +292,30 @@ def run(quick: bool, json_path: Path, repeats: int,
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": platform.machine(),
-        "sim_kernel": default_kernel(),
-        "jit": jit_status(),
     }
-    full_stats = mac.full.packed().schedule.stats()
-    mult_stats = mac.multiplier.packed().schedule.stats()
+    netlists = {"mac_full": mac.full.packed(),
+                "multiplier": mac.multiplier.packed()}
+    netlist_stats = {name: packed.schedule.stats()
+                     for name, packed in netlists.items()}
+    program_stats = {name: packed.program.stats()
+                     for name, packed in netlists.items()}
+    full_stats = netlist_stats["mac_full"]
     print(f"MAC netlist: {full_stats['n_gates']} gates / "
           f"{full_stats['n_nets']} nets, depth {full_stats['n_levels']} "
-          f"levels, {full_stats['n_groups']} type-groups")
-    print(f"compiled-kernel executor: {jit_status()['reason']}")
+          f"levels, {full_stats['n_groups']} type-groups, "
+          f"{program_stats['mac_full']['n_binop_runs']} binop runs")
 
     power = bench_power_shape(mac, n_power, repeats)
     print(f"power-shaped ({n_power} stacked pairs): "
-          f"legacy {power['legacy_s'] * 1e3:8.1f} ms | "
-          f"levelized {power['levelized_s'] * 1e3:7.1f} ms "
-          f"({power['speedup_levelized']:.1f}x) | "
-          f"packed {power['packed_s'] * 1e3:7.1f} ms "
-          f"({power['speedup_packed']:.1f}x)")
+          f"reference {power['reference_s'] * 1e3:8.1f} ms | "
+          f"production {power['production_s'] * 1e3:7.1f} ms "
+          f"({power['speedup']:.1f}x)")
 
     dta = bench_dta_shape(mac, library, n_dta, repeats)
     print(f"DTA-shaped   ({n_dta} transitions):   "
-          f"legacy {dta['legacy_s'] * 1e3:8.1f} ms | "
-          f"fused packed {dta['fused_s'] * 1e3:7.1f} ms "
-          f"({dta['speedup_fused']:.1f}x)")
-
-    compiled = bench_compiled_kernel(mac, library, n_power, n_dta,
-                                     repeats)
-    comp_power = compiled["power_shape"]
-    comp_dta = compiled["dta_shape"]
-    print(f"compiled ({compiled['executor']}) power: "
-          f"packed {comp_power['packed_s'] * 1e3:8.1f} ms | "
-          f"compiled {comp_power['compiled_s'] * 1e3:7.1f} ms "
-          f"({comp_power['speedup_compiled']:.2f}x)")
-    print(f"compiled ({compiled['executor']}) DTA:   "
-          f"dense packed {comp_dta['packed_dense_s'] * 1e3:8.1f} ms | "
-          f"streaming {comp_dta['compiled_streaming_s'] * 1e3:7.1f} ms "
-          f"({comp_dta['speedup_compiled']:.2f}x)")
+          f"reference {dta['reference_s'] * 1e3:8.1f} ms | "
+          f"production {dta['production_s'] * 1e3:7.1f} ms "
+          f"({dta['speedup']:.1f}x)")
 
     char = bench_char_table(n_char, n_char_transitions, repeats)
     char_power = char["power"]
@@ -517,71 +343,37 @@ def run(quick: bool, json_path: Path, repeats: int,
     char_json_path.write_text(json.dumps(char_payload, indent=2) + "\n")
     print(f"char-batch results written to {char_json_path}")
 
-    jit_active = jit_status()["active"]
-    compiled_dta_floor = (COMPILED_DTA_JIT_FLOOR
-                          if jit_active and not quick
-                          else COMPILED_FALLBACK_FLOOR)
-    compiled_payload = {
-        "benchmark": "compiled_kernel",
-        "quick": quick,
-        "repeats": repeats,
-        "platform": platform_block,
-        **compiled,
-        "floors": {
-            "power_speedup": COMPILED_FALLBACK_FLOOR,
-            "dta_speedup": compiled_dta_floor,
-        },
-    }
-    compiled_json_path.write_text(
-        json.dumps(compiled_payload, indent=2) + "\n")
-    print(f"compiled-kernel results written to {compiled_json_path}")
-
+    power_floor = QUICK_SPEEDUP_FLOOR if quick else POWER_SPEEDUP_FLOOR
+    dta_floor = QUICK_SPEEDUP_FLOOR if quick else DTA_SPEEDUP_FLOOR
     payload = {
         "benchmark": "sim_kernel",
         "quick": quick,
         "repeats": repeats,
         "platform": platform_block,
-        "netlist": {"mac_full": full_stats, "multiplier": mult_stats},
-        "power_characterization_shape": power,
+        "netlist": netlist_stats,
+        "program": program_stats,
+        "power_shape": power,
         "dta_shape": dta,
-        "floors": {
-            "power_speedup": (QUICK_SPEEDUP_FLOOR if quick
-                              else POWER_SPEEDUP_FLOOR),
-            "dta_speedup": (QUICK_SPEEDUP_FLOOR if quick
-                            else DTA_SPEEDUP_FLOOR),
-        },
+        "floors": {"power_speedup": power_floor,
+                   "dta_speedup": dta_floor},
     }
     json_path.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"results written to {json_path}")
 
-    power_floor = QUICK_SPEEDUP_FLOOR if quick else POWER_SPEEDUP_FLOOR
-    dta_floor = QUICK_SPEEDUP_FLOOR if quick else DTA_SPEEDUP_FLOOR
     failures = []
-    if power["speedup_packed"] < power_floor:
+    if power["speedup"] < power_floor:
         failures.append(
-            f"packed power-shape speedup {power['speedup_packed']:.2f}x "
-            f"below the {power_floor:g}x floor")
-    if dta["speedup_fused"] < dta_floor:
+            f"power-shape speedup {power['speedup']:.2f}x below the "
+            f"{power_floor:g}x floor")
+    if dta["speedup"] < dta_floor:
         failures.append(
-            f"fused DTA speedup {dta['speedup_fused']:.2f}x below the "
+            f"DTA-shape speedup {dta['speedup']:.2f}x below the "
             f"{dta_floor:g}x floor")
     if char_power["speedup_one_launch"] < CHAR_SPEEDUP_FLOOR:
         failures.append(
             f"one-launch characterization speedup "
             f"{char_power['speedup_one_launch']:.2f}x below the "
             f"{CHAR_SPEEDUP_FLOOR:g}x floor")
-    if comp_power["speedup_compiled"] < COMPILED_FALLBACK_FLOOR:
-        failures.append(
-            f"compiled power-shape speedup "
-            f"{comp_power['speedup_compiled']:.2f}x below the "
-            f"{COMPILED_FALLBACK_FLOOR:g}x floor (executor: "
-            f"{compiled['executor']})")
-    if comp_dta["speedup_compiled"] < compiled_dta_floor:
-        failures.append(
-            f"compiled streaming-DTA speedup "
-            f"{comp_dta['speedup_compiled']:.2f}x below the "
-            f"{compiled_dta_floor:g}x floor (executor: "
-            f"{compiled['executor']})")
     if failures:
         raise SystemExit("FAIL: " + "; ".join(failures))
     print("OK: all speedup floors met")
@@ -590,12 +382,12 @@ def run(quick: bool, json_path: Path, repeats: int,
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Benchmark legacy vs levelized vs bit-packed "
-                    "gate-simulation kernels on the default MAC")
+        description="Benchmark the gate-simulation kernels against "
+                    "their reference walks on the default MAC")
     parser.add_argument("--quick", action="store_true",
                         help="small batches for CI smoke; only asserts "
-                             "the packed kernel is not slower than "
-                             "legacy")
+                             "production is not slower than the "
+                             "reference")
     parser.add_argument("--json", type=Path,
                         default=Path("BENCH_sim_kernel.json"),
                         metavar="FILE",
@@ -606,18 +398,12 @@ def main(argv=None) -> int:
                         metavar="FILE",
                         help="output path for the characterization-"
                              "table results (default: %(default)s)")
-    parser.add_argument("--compiled-json", type=Path,
-                        default=Path("BENCH_compiled_kernel.json"),
-                        metavar="FILE",
-                        help="output path for the compiled-kernel "
-                             "results (default: %(default)s)")
     parser.add_argument("--repeats", type=int, default=3, metavar="N",
                         help="timing repeats; best-of-N is reported "
                              "(default: %(default)s)")
     args = parser.parse_args(argv)
     run(args.quick, args.json, max(1, args.repeats),
-        char_json_path=args.char_json,
-        compiled_json_path=args.compiled_json)
+        char_json_path=args.char_json)
     return 0
 
 

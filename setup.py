@@ -1,7 +1,6 @@
 """Setup for environments without the wheel package.
 
-Enables ``pip install -e .`` (and ``pip install -e .[jit]`` for the
-optional numba-compiled simulation executor) on offline machines.
+Enables ``pip install -e .`` on offline machines.
 """
 
 from setuptools import find_packages, setup
@@ -13,18 +12,11 @@ setup(
     python_requires=">=3.9",
     install_requires=["numpy>=1.24"],
     extras_require={
-        # Optional JIT executor for the compiled level-program kernel
-        # (repro.sim.compiled).  Everything is bit-for-bit identical
-        # without it — the vectorized numpy program executor is the
-        # always-available fallback — numba just buys the native
-        # gate-walk, the fused XOR+popcount characterization reduction
-        # and the streaming DTA kernel.
-        "jit": ["numba>=0.57"],
         # Optional HTTP experiment service (repro.service): an async
         # job queue over the sweep engine.  The job layer itself is
         # dependency-free; fastapi/uvicorn only serve it over HTTP
         # (`python -m repro serve`).  Tier-1 tests skip the HTTP layer
-        # cleanly when the extra is absent, mirroring the jit extra.
+        # cleanly when the extra is absent.
         "service": ["fastapi>=0.100", "uvicorn>=0.23"],
     },
 )

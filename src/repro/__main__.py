@@ -33,7 +33,6 @@ table/chart — see ``python -m repro sweep --help``.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from repro.experiments import (
@@ -123,24 +122,9 @@ def main(argv=None) -> int:
                              "seeds report every row as mean±std over "
                              "the seed axis (table1/fig8/fig9/backends "
                              "only; default: 0)")
-    parser.add_argument("--sim-kernel", default="auto",
-                        choices=("auto", "compiled", "packed"),
-                        help="gate-simulation word kernel (bit-for-bit "
-                             "identical either way; 'auto' prefers the "
-                             "compiled level-program backend, 'packed' "
-                             "forces the group-walk oracle; default: "
-                             "auto)")
     parser.add_argument("--list-backends", action="store_true",
                         help="list registered hardware backends and exit")
     args = parser.parse_args(argv)
-
-    if args.sim_kernel != "auto":
-        # Exported as an environment variable (rather than threaded as
-        # a kwarg) so spawn-started worker processes inherit the
-        # selection; never part of cache keys.
-        from repro.sim.compiled import KERNEL_ENV
-
-        os.environ[KERNEL_ENV] = args.sim_kernel
 
     if args.list_backends:
         print(describe_backends())

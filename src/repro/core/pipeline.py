@@ -62,18 +62,6 @@ class PipelineConfig:
     #: cores).  Sharding is bit-for-bit equal to a serial run, so this
     #: knob is deliberately absent from all stage cache keys.
     char_jobs: int = 1
-    #: Weights per one-launch characterization megabatch (0 = automatic
-    #: memory-aware sizing, 1 = the per-weight oracle loop).  Batching
-    #: is bit-for-bit equal to the per-weight loop and composes with
-    #: ``char_jobs``, so this knob is deliberately absent from all
-    #: stage cache keys too.
-    char_batch_weights: int = 0
-    #: Simulation word-kernel selection (``auto``/``compiled``/
-    #: ``packed``; see :mod:`repro.sim.compiled`).  Every kernel is
-    #: bit-for-bit identical, so — like ``char_jobs`` — this knob is
-    #: deliberately absent from all stage cache keys.  The
-    #: ``REPRO_SIM_KERNEL`` environment variable overrides it.
-    sim_kernel: str = "auto"
     num_classes: int = 10
     width_mult: float = 0.5          # paper: 1.0
     depth_mult: float = 1.0

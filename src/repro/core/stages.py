@@ -284,14 +284,8 @@ class PipelineOps:
     def __init__(self, config: "PipelineConfig", library=None, mac=None,
                  systolic_config=None, voltage_model=None) -> None:
         from repro.hw import DEFAULT_BACKEND_ID, get_backend
-        from repro.sim.compiled import set_process_kernel
 
         self.config = config
-        # Install the configured word kernel as the process default
-        # (bit-for-bit neutral, never in cache keys; "auto" resets to
-        # detection and REPRO_SIM_KERNEL still overrides).  Forked
-        # workers inherit the choice with the module state.
-        set_process_kernel(getattr(config, "sim_kernel", "auto"))
         backend = get_backend(
             getattr(config, "backend", DEFAULT_BACKEND_ID))
         self.backend = backend
@@ -388,10 +382,10 @@ class PipelineOps:
         """Per-weight power table from measured operand statistics.
 
         ``config.char_jobs`` shards the per-weight simulations across
-        processes and ``config.char_batch_weights`` batches each
-        shard's weights into one-launch megabatch evaluations; both are
-        bit-for-bit identical to the serial per-weight loop, which is
-        why neither takes part in the stage cache key.
+        processes, each shard batching its weights into one-launch
+        megabatch evaluations; both are bit-for-bit identical to the
+        serial per-weight loop, which is why ``char_jobs`` takes no
+        part in the stage cache key.
         """
         from repro.power import WeightPowerCharacterizer
 
@@ -406,18 +400,17 @@ class PipelineOps:
         )
         return characterizer.characterize(
             self.config.char_weights(), seed=self.config.seed,
-            jobs=getattr(self.config, "char_jobs", 1),
-            batch_weights=getattr(self.config, "char_batch_weights", 0))
+            jobs=getattr(self.config, "char_jobs", 1))
 
     def characterize_timing(self, candidate_weights: Sequence[int]):
         """Per-weight timing table for the power-selected candidates.
 
         ``config.char_jobs`` shards the per-weight dynamic timing
-        analyses across processes and ``config.char_batch_weights``
-        concatenates each shard's weights into flat one-launch DTA
-        streams; each weight subsamples its transitions from its own
-        ``(seed, weight)``-keyed RNG, so both knobs are bit-for-bit
-        neutral and take no part in the stage cache key.
+        analyses across processes, each shard concatenating its
+        weights into flat one-launch DTA streams; each weight
+        subsamples its transitions from its own ``(seed, weight)``-keyed
+        RNG, so sharding is bit-for-bit neutral and takes no part in
+        the stage cache key.
         """
         from repro.timing import WeightDelayProfiler, WeightTimingTable
 
@@ -429,7 +422,6 @@ class PipelineOps:
             floor_ps=self.config.timing_floor_ps,
             calibrate_to_ps=self.backend.delay_anchor_ps,
             jobs=getattr(self.config, "char_jobs", 1),
-            batch_weights=getattr(self.config, "char_batch_weights", 0),
         )
 
     def recharacterize_filtered(self, allowed_activations, stats,
@@ -459,8 +451,7 @@ class PipelineOps:
         )
         table = characterizer.characterize(
             self.config.char_weights(), seed=self.config.seed,
-            jobs=getattr(self.config, "char_jobs", 1),
-            batch_weights=getattr(self.config, "char_batch_weights", 0))
+            jobs=getattr(self.config, "char_jobs", 1))
         return WeightPowerTable(
             weights=table.weights,
             power_uw=table.dynamic_uw * base_table.energy_scale

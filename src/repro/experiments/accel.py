@@ -21,7 +21,6 @@ CLI::
 from __future__ import annotations
 
 import argparse
-import os
 from typing import Optional, Sequence
 
 from repro.experiments.sweep import (
@@ -128,11 +127,6 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--char-jobs", type=int, default=1, metavar="N",
                         help="processes each point spends sharding "
                              "per-weight characterization (default: 1)")
-    parser.add_argument("--sim-kernel", default="auto",
-                        choices=("auto", "compiled", "packed"),
-                        help="gate-simulation word kernel (bit-for-bit "
-                             "identical; never part of cache keys; "
-                             "default: auto)")
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="on-disk artifact cache shared across "
                              "points, runs and workers")
@@ -143,13 +137,6 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
                         help="also write the seed-aggregated table as "
                              "CSV")
     args = parser.parse_args(argv)
-
-    if args.sim_kernel != "auto":
-        # Environment (not kwargs) so spawn-started pool workers
-        # inherit the selection; bit-for-bit neutral, never cached.
-        from repro.sim.compiled import KERNEL_ENV
-
-        os.environ[KERNEL_ENV] = args.sim_kernel
 
     try:
         if args.spec is not None:

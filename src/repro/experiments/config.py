@@ -103,8 +103,6 @@ def pipeline_config(spec: NetworkSpec, scale: str = "ci",
                     seed: int = 0, verbose: bool = False,
                     backend: str = DEFAULT_BACKEND_ID,
                     char_jobs: int = 1,
-                    char_batch_weights: int = 0,
-                    sim_kernel: str = "auto",
                     accel=None) -> PipelineConfig:
     """PipelineConfig for one network spec at the requested scale.
 
@@ -119,13 +117,6 @@ def pipeline_config(spec: NetworkSpec, scale: str = "ci",
             processes).
         char_jobs: Processes to shard per-weight characterization over
             (bit-for-bit identical to serial; not part of cache keys).
-        char_batch_weights: Weights per one-launch characterization
-            megabatch (0 = automatic, 1 = per-weight loop); bit-for-bit
-            neutral like ``char_jobs`` and not part of cache keys.
-        sim_kernel: Simulation word-kernel selection
-            (``auto``/``compiled``/``packed``); every kernel is
-            bit-for-bit identical, so this is cache-key-neutral like
-            ``char_jobs``.
         accel: Optional :class:`~repro.systolic.spec.AcceleratorSpec`
             design point for the ``accel_*`` stages; keys only those
             stages, so accelerator sweeps share the training/
@@ -138,8 +129,6 @@ def pipeline_config(spec: NetworkSpec, scale: str = "ci",
         lr_decay_epochs=training.get("lr_decay_epochs", ()),
         backend=resolve_backend_id(backend),
         char_jobs=char_jobs,
-        char_batch_weights=char_batch_weights,
-        sim_kernel=sim_kernel,
         accel=accel,
         network=spec.network,
         dataset=spec.dataset,

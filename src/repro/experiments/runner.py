@@ -55,12 +55,6 @@ class ExperimentContext:
             keys every stage artifact, so contexts on different
             backends can share a store without ever colliding.
         char_jobs: Processes to shard per-weight characterization over.
-        char_batch_weights: Weights per one-launch characterization
-            megabatch (0 = automatic, 1 = per-weight loop); bit-for-bit
-            neutral, like ``char_jobs``.
-        sim_kernel: Simulation word-kernel selection
-            (``auto``/``compiled``/``packed``); bit-for-bit neutral,
-            like ``char_jobs``.
         accel: Optional :class:`~repro.systolic.spec.AcceleratorSpec`
             design point for :meth:`accel_eval`; keys only the
             ``accel_*`` stages.
@@ -72,16 +66,12 @@ class ExperimentContext:
                  store: Optional[ArtifactStore] = None,
                  backend=DEFAULT_BACKEND_ID,
                  char_jobs: int = 1,
-                 char_batch_weights: int = 0,
-                 sim_kernel: str = "auto",
                  accel=None) -> None:
         self.spec = spec
         self.scale = scale
         self.config: PipelineConfig = pipeline_config(
             spec, scale, seed=seed, verbose=verbose, backend=backend,
             char_jobs=char_jobs,
-            char_batch_weights=char_batch_weights,
-            sim_kernel=sim_kernel,
             accel=accel)
         self.pruner = PowerPruner(self.config, cache_dir=cache_dir,
                                   store=store)

@@ -40,7 +40,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
@@ -454,11 +453,9 @@ def point_config(point: SweepPoint, char_jobs: int = 1,
 
 
 #: Config fields that never influence results and must therefore never
-#: enter a cache key (sharding, megabatching and kernel selection are
-#: bit-for-bit; the backend is hashed via its full spec payload instead
-#: of its registry id).
-_NON_KEY_FIELDS = ("backend", "char_jobs", "char_batch_weights",
-                   "sim_kernel", "verbose")
+#: enter a cache key (sharding is bit-for-bit; the backend is hashed via
+#: its full spec payload instead of its registry id).
+_NON_KEY_FIELDS = ("backend", "char_jobs", "verbose")
 
 
 def point_cache_key(point: SweepPoint, config: PipelineConfig) -> str:
@@ -1356,11 +1353,6 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--char-jobs", type=int, default=1, metavar="N",
                         help="processes each point spends sharding "
                              "per-weight characterization (default: 1)")
-    parser.add_argument("--sim-kernel", default="auto",
-                        choices=("auto", "compiled", "packed"),
-                        help="gate-simulation word kernel (bit-for-bit "
-                             "identical; never part of cache keys; "
-                             "default: auto)")
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="on-disk artifact cache shared across "
                              "points, runs and workers")
@@ -1373,13 +1365,6 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
                              "columns, one row per backend x network "
                              "x threshold group) as CSV")
     args = parser.parse_args(argv)
-
-    if args.sim_kernel != "auto":
-        # Environment (not kwargs) so spawn-started pool workers
-        # inherit the selection; bit-for-bit neutral, never cached.
-        from repro.sim.compiled import KERNEL_ENV
-
-        os.environ[KERNEL_ENV] = args.sim_kernel
 
     try:
         if args.spec is not None:

@@ -358,8 +358,9 @@ class PackedNetlist:
     def program(self):
         """Flattened level program, built once and cached.
 
-        The compiled execution backends (:mod:`repro.sim.compiled`)
-        consume this opcode-array form of :attr:`schedule`.  Like the
+        :mod:`repro.sim.logic` evaluates netlists by running this
+        opcode-array form of :attr:`schedule`
+        (:meth:`repro.sim.program.LevelProgram.run`).  Like the
         schedule, the cached program travels through pickling so
         characterization workers receive it warm.
         """

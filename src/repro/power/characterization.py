@@ -322,17 +322,11 @@ class WeightPowerCharacterizer:
         Per-weight stimuli still come from the same ``(seed, weight)``
         child RNGs — drawn per weight, bit-for-bit as before — but the
         packed evaluation stacks every weight's stimulus along the
-        sample axis and walks the level schedule **once** per chunk,
+        sample axis and runs the level program **once** per chunk,
         amortizing the schedule-dispatch and input-packing overhead the
         per-weight loop pays 2^16-scale times over.  Toggle energies
         reduce per weight segment through the segmented popcount
-        without materializing any dense per-net matrix.  Both halves of
-        the launch pick up the compiled backend automatically: the walk
-        runs the level program (:mod:`repro.sim.compiled`; JIT
-        interpreter when numba is installed, vectorized program
-        executor otherwise) and, under the JIT, the per-segment toggle
-        counts come from the fused XOR+popcount kernel so the XOR word
-        matrix is never materialized either.
+        without materializing any dense per-net matrix.
 
         Results are bit-for-bit identical to the per-weight path for
         any ``batch_weights`` chunking — word-wise gate ops never mix

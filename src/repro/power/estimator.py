@@ -82,7 +82,7 @@ class PowerEstimator:
         Keyed on the identity of ``netlist`` itself, so callers that
         hold one circuit and estimate repeatedly (the characterization
         hot path) pay the per-type library lookup once.  The packed
-        view's level schedule and its compiled level program are built
+        view's level schedule and its level program are built
         eagerly here, so the simulation kernels it feeds (and any
         workers the memoized view is shipped to) never pay the
         levelization or program flattening inside their inner loops.
@@ -92,7 +92,7 @@ class PowerEstimator:
             packed = (netlist if isinstance(netlist, PackedNetlist)
                       else netlist.packed())
             packed.schedule  # build + cache the levelized plan
-            packed.program   # ... and its compiled level program
+            packed.program   # ... and its level program
             if len(self._energy_cache) >= self._ENERGY_CACHE_MAX:
                 self._energy_cache.clear()
             entry = (netlist, packed, packed.gate_energies(self.library))

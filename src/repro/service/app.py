@@ -1,9 +1,9 @@
 """FastAPI app over the :class:`~repro.service.jobs.JobManager`.
 
-``fastapi`` is an optional extra (``pip install '.[service]'``, like
-the ``jit`` extra for numba): this module keeps every fastapi import
-inside :func:`create_app`, so ``import repro`` — and the whole tier-1
-test suite — stays dependency-free.  The endpoints:
+``fastapi`` is an optional extra (``pip install '.[service]'``): this
+module keeps every fastapi import inside :func:`create_app`, so
+``import repro`` — and the whole tier-1 test suite — stays
+dependency-free.  The endpoints:
 
 * ``POST /sweeps`` — submit a sweep; the body is the same JSON (or
   TOML, via ``Content-Type: application/toml``) mapping that

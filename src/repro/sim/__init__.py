@@ -3,7 +3,8 @@
 Vectorized replacements for the commercial tooling the paper uses:
 
 * :mod:`repro.sim.logic` — batched Boolean evaluation of a netlist
-  (the role of Modelsim's functional simulation).
+  (the role of Modelsim's functional simulation), executed by the
+  level program of :mod:`repro.sim.program`.
 * :mod:`repro.sim.switching` — toggle extraction between input patterns
   (the switching-activity files fed to Power Compiler).
 * :mod:`repro.sim.dynamic_timing` — per-transition arrival-time
@@ -12,13 +13,6 @@ Vectorized replacements for the commercial tooling the paper uses:
   Design Compiler's STA engine).
 """
 
-from repro.sim.compiled import (
-    active_executor,
-    default_kernel,
-    jit_available,
-    jit_status,
-    set_process_kernel,
-)
 from repro.sim.logic import (
     PackedValues,
     bits_to_int,
@@ -38,16 +32,13 @@ from repro.sim.switching import (
 )
 from repro.sim.dynamic_timing import (
     dynamic_arrival_times,
-    dynamic_arrival_times_reference,
     dynamic_bus_arrivals,
     dynamic_delays,
 )
 from repro.sim.static_timing import (
     static_arrival_times,
-    static_arrival_times_reference,
     static_max_delay,
     time_to_outputs,
-    time_to_outputs_reference,
 )
 
 __all__ = [
@@ -64,18 +55,10 @@ __all__ = [
     "paired_toggle_rates",
     "paired_toggle_rates_words",
     "dynamic_arrival_times",
-    "dynamic_arrival_times_reference",
     "dynamic_bus_arrivals",
     "dynamic_delays",
     "LevelProgram",
-    "active_executor",
-    "default_kernel",
-    "jit_available",
-    "jit_status",
-    "set_process_kernel",
     "static_arrival_times",
-    "static_arrival_times_reference",
     "static_max_delay",
     "time_to_outputs",
-    "time_to_outputs_reference",
 ]

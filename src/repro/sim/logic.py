@@ -1,41 +1,30 @@
 """Batched Boolean evaluation of gate-level netlists.
 
-Three kernels share one contract (bit-for-bit identical results):
-
-* ``reference`` — the original interpreted walk: one Python iteration
-  per gate, applying its function to a whole boolean batch.  Kept as
-  the executable specification the fast kernels are tested against.
-* ``levelized`` — gates are topologically levelized and grouped by
-  type at :class:`~repro.netlist.gates.PackedNetlist` build time (see
-  :class:`~repro.netlist.gates.LevelSchedule`), so evaluation becomes
-  ~``depth x gate-types`` fancy-indexed numpy ops instead of ~N Python
-  iterations.
-* ``packed`` (default) — the levelized schedule over *bit-packed*
-  batches: net values are ``uint64`` words holding 64 samples each, so
-  every gate op processes 64 stimuli per machine word and memory
-  traffic drops 8x vs ``bool``.  Toggle statistics reduce straight
-  from packed words via popcount (:func:`popcount_words`) without ever
-  materializing the boolean matrix.
+Net values are evaluated over *bit-packed* batches: each net's row is
+``uint64`` words holding 64 samples each, so every gate op processes
+64 stimuli per machine word and memory traffic drops 8x vs ``bool``.
+The gates run through the netlist's cached
+:class:`~repro.sim.program.LevelProgram`, one level at a time, so a
+pass is ~``depth`` x a few word-wide numpy ops instead of one Python
+iteration per gate.  Toggle statistics reduce straight from packed
+words via popcount (:func:`popcount_words`) without ever materializing
+the boolean matrix.
 
 Simulating the 2^16 activation transitions of the paper's timing
 characterization is therefore a few hundred word-wide array ops rather
-than 65536 separate simulations or even ~1000 per-gate batch ops.
+than 65536 separate simulations.  The per-gate interpreted walk these
+kernels replaced is kept in the test suite as the oracle they must
+equal bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, Optional, Union
+from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.netlist.gates import (
-    GateType,
-    LevelSchedule,
-    Netlist,
-    PackedNetlist,
-)
-from repro.sim import compiled as _compiled
+from repro.netlist.gates import Netlist, PackedNetlist
 
 ArrayLike = Union[np.ndarray, int, bool]
 
@@ -317,13 +306,6 @@ class BatchedPackedValues:
                 "not a paired evaluation; call evaluate_words_batched("
                 "..., pair_halves=True)")
         wps = self.words_per_segment
-        # The JIT executor fuses XOR + popcount + segment reduction in
-        # one native loop (identical integer counts); fall through to
-        # the segmented-popcount numpy reduction otherwise.
-        fused = _compiled.segment_toggle_counts(
-            self.words, self.n_segments, wps)
-        if fused is not None:  # pragma: no cover - needs numba
-            return fused
         view = self.words.reshape(self.words.shape[0], self.n_segments,
                                   2, wps // 2)
         xor = view[:, :, 0, :] ^ view[:, :, 1, :]
@@ -342,15 +324,23 @@ def _resolve_packed(netlist: Union[Netlist, PackedNetlist]) -> PackedNetlist:
     return netlist.packed()
 
 
-def _infer_batch(inputs: Mapping[str, ArrayLike],
-                 batch: Optional[int]) -> int:
+def _broadcast_shape(values: Iterable[ArrayLike]) -> Tuple[int, ...]:
+    """The shape every input value broadcasts to (``()`` for scalars).
+
+    Taken over *all* values, so the result does not depend on the
+    order of the feed: a length-1 row next to a full row broadcasts
+    to the full row whichever comes first.
+    """
+    return np.broadcast_shapes(*(np.shape(value) for value in values))
+
+
+def _infer_batch(values: Iterable[ArrayLike],
+                 batch: Optional[int] = None) -> int:
+    """Samples per input row: ``batch`` or the broadcast row length."""
     if batch is not None:
         return batch
-    for value in inputs.values():
-        arr = np.asarray(value)
-        if arr.ndim > 0:
-            return arr.shape[0]
-    return 1
+    shape = _broadcast_shape(values)
+    return shape[-1] if shape else 1
 
 
 def _input_matrix(packed: PackedNetlist,
@@ -393,81 +383,6 @@ def _input_matrix_batched(packed: PackedNetlist,
     return nets, bits
 
 
-# ----------------------------------------------------------------------
-# kernels
-# ----------------------------------------------------------------------
-def _run_schedule_bool(schedule: LevelSchedule,
-                       values: np.ndarray) -> None:
-    """Levelized evaluation over a boolean ``values`` matrix, in place."""
-    for group in schedule.groups:
-        gtype = group.gtype
-        if gtype == GateType.INV:
-            values[group.dst] = ~values[group.f0]
-        elif gtype == GateType.BUF:
-            values[group.dst] = values[group.f0]
-        elif gtype == GateType.AND2:
-            values[group.dst] = values[group.f0] & values[group.f1]
-        elif gtype == GateType.OR2:
-            values[group.dst] = values[group.f0] | values[group.f1]
-        elif gtype == GateType.NAND2:
-            values[group.dst] = ~(values[group.f0] & values[group.f1])
-        elif gtype == GateType.NOR2:
-            values[group.dst] = ~(values[group.f0] | values[group.f1])
-        elif gtype == GateType.XOR2:
-            values[group.dst] = values[group.f0] ^ values[group.f1]
-        elif gtype == GateType.XNOR2:
-            values[group.dst] = ~(values[group.f0] ^ values[group.f1])
-        elif gtype == GateType.MUX2:
-            values[group.dst] = np.where(
-                values[group.f0], values[group.f2], values[group.f1])
-        else:  # pragma: no cover - enum is exhaustive
-            raise AssertionError(f"unhandled gate type {gtype}")
-
-
-def _run_schedule_words(schedule: LevelSchedule,
-                        words: np.ndarray) -> None:
-    """Levelized evaluation over packed ``uint64`` words, in place.
-
-    Identical to :func:`_run_schedule_bool` with bitwise word ops;
-    padding bits beyond the batch may take arbitrary values (they are
-    dropped on unpack and cancel in paired toggle extraction, where
-    both halves compute the same function of identical padding).
-    """
-    for group in schedule.groups:
-        gtype = group.gtype
-        if gtype == GateType.INV:
-            words[group.dst] = ~words[group.f0]
-        elif gtype == GateType.BUF:
-            words[group.dst] = words[group.f0]
-        elif gtype == GateType.AND2:
-            words[group.dst] = words[group.f0] & words[group.f1]
-        elif gtype == GateType.OR2:
-            words[group.dst] = words[group.f0] | words[group.f1]
-        elif gtype == GateType.NAND2:
-            words[group.dst] = ~(words[group.f0] & words[group.f1])
-        elif gtype == GateType.NOR2:
-            words[group.dst] = ~(words[group.f0] | words[group.f1])
-        elif gtype == GateType.XOR2:
-            words[group.dst] = words[group.f0] ^ words[group.f1]
-        elif gtype == GateType.XNOR2:
-            words[group.dst] = ~(words[group.f0] ^ words[group.f1])
-        elif gtype == GateType.MUX2:
-            select = words[group.f0]
-            words[group.dst] = ((words[group.f2] & select)
-                                | (words[group.f1] & ~select))
-        else:  # pragma: no cover - enum is exhaustive
-            raise AssertionError(f"unhandled gate type {gtype}")
-
-
-def _run_words(packed: PackedNetlist, schedule: LevelSchedule,
-               words: np.ndarray, kernel: str) -> None:
-    """Run the selected word-domain kernel over ``words``, in place."""
-    if kernel == "compiled":
-        _compiled.run_program_words(packed.program, words)
-    else:
-        _run_schedule_words(schedule, words)
-
-
 def _prepare_words(packed: PackedNetlist, n_words: int,
                    words_out: Optional[np.ndarray]) -> np.ndarray:
     """The word matrix a packed evaluation writes into.
@@ -496,7 +411,6 @@ def evaluate_words(netlist: Union[Netlist, PackedNetlist],
                    inputs: Mapping[str, ArrayLike],
                    batch: Optional[int] = None,
                    pair_halves: bool = False,
-                   kernel: Optional[str] = None,
                    words_out: Optional[np.ndarray] = None
                    ) -> PackedValues:
     """Evaluate every net over bit-packed batches; stay packed.
@@ -509,17 +423,12 @@ def evaluate_words(netlist: Union[Netlist, PackedNetlist],
         netlist: The circuit (or its packed view).
         inputs: Mapping from primary-input name to a boolean batch
             array or a scalar (broadcast over the batch).
-        batch: Batch size; inferred from the first array input when
-            omitted.
+        batch: Batch size; inferred from the array inputs (their
+            broadcast length) when omitted.
         pair_halves: Treat the batch as a stacked before/after pair
             (``[before..., after...]``, even length) and pack each half
             word-aligned, so the halves can be XORed word-for-word (see
             :meth:`PackedValues.halves`).
-        kernel: ``"compiled"`` (level-program executor, the default —
-            see :mod:`repro.sim.compiled`) or ``"packed"`` (the group
-            walk kept as oracle); ``None``/``"auto"`` defers to
-            ``REPRO_SIM_KERNEL`` / config.  Bit-for-bit identical
-            either way — the choice never enters cache keys.
         words_out: Optional preallocated C-contiguous word matrix of
             shape ``(nets, n_words)`` to evaluate into (reused across
             chunked launches); contents are overwritten and the
@@ -529,8 +438,7 @@ def evaluate_words(netlist: Union[Netlist, PackedNetlist],
         :class:`PackedValues` with one word row per net.
     """
     packed = _resolve_packed(netlist)
-    kernel = _compiled.resolve_kernel(kernel)
-    batch = _infer_batch(inputs, batch)
+    batch = _infer_batch(inputs.values(), batch)
     input_nets, input_bits = _input_matrix(packed, inputs, batch)
 
     half_batch: Optional[int] = None
@@ -551,7 +459,7 @@ def evaluate_words(netlist: Union[Netlist, PackedNetlist],
     schedule = packed.schedule
     if schedule.const1.size:
         words[schedule.const1] = ~np.uint64(0)
-    _run_words(packed, schedule, words, kernel)
+    packed.program.run(words)
     return PackedValues(words=words, batch=batch, half_batch=half_batch)
 
 
@@ -559,19 +467,17 @@ def evaluate_words_batched(netlist: Union[Netlist, PackedNetlist],
                            inputs: Mapping[str, ArrayLike],
                            n_segments: Optional[int] = None,
                            batch: Optional[int] = None,
-                           pair_halves: bool = False,
-                           kernel: Optional[str] = None
+                           pair_halves: bool = False
                            ) -> BatchedPackedValues:
     """Evaluate many stimulus segments in **one** kernel launch.
 
     The one-launch characterization primitive: ``n_segments``
     independent stimulus segments (one per frozen weight value, in the
     hot path) are packed side by side along the word axis and the level
-    schedule walks the whole megabatch once — amortizing the ~depth x
-    gate-type numpy dispatch overhead of :func:`evaluate_words` across
-    every segment instead of paying it per segment.  The layout is flat
-    contiguous ``uint64`` words per segment, deliberately
-    gather/scatter-friendly for a future compiled or GPU backend.
+    program walks the whole megabatch once — amortizing the per-level
+    numpy dispatch overhead of :func:`evaluate_words` across every
+    segment instead of paying it per segment.  The layout is flat
+    contiguous ``uint64`` words per segment.
 
     Each segment's words are bit-for-bit identical to what a standalone
     :func:`evaluate_words` call on that segment's inputs would produce
@@ -584,30 +490,25 @@ def evaluate_words_batched(netlist: Union[Netlist, PackedNetlist],
             broadcastable against ``(n_segments, batch)`` — scalars,
             shared ``(batch,)`` rows, per-segment ``(n_segments, 1)``
             columns, or full ``(n_segments, batch)`` matrices.
-        n_segments: Number of segments; inferred from the first 2-D
-            input when omitted.
+        n_segments: Number of segments; inferred from the shape all
+            inputs broadcast to when omitted.
         batch: Samples per segment; inferred alongside ``n_segments``.
         pair_halves: Treat every segment as a stacked before/after pair
             and pack each half word-aligned (the toggle-extraction
             layout; see :func:`evaluate_words`).
-        kernel: Word kernel selection, as in :func:`evaluate_words`.
 
     Returns:
         :class:`BatchedPackedValues` over the whole megabatch.
     """
     packed = _resolve_packed(netlist)
-    kernel = _compiled.resolve_kernel(kernel)
     if n_segments is None or batch is None:
-        for value in inputs.values():
-            arr = np.asarray(value)
-            if arr.ndim >= 2:
-                n_segments = n_segments or arr.shape[0]
-                batch = batch or arr.shape[1]
-                break
-        else:
+        shape = _broadcast_shape(inputs.values())
+        if len(shape) < 2:
             raise ValueError(
-                "pass n_segments/batch explicitly when no input is a "
-                "(n_segments, batch) matrix")
+                "pass n_segments/batch explicitly when the inputs do "
+                "not broadcast to an (n_segments, batch) matrix")
+        n_segments = n_segments or shape[-2]
+        batch = batch or shape[-1]
     input_nets, input_bits = _input_matrix_batched(
         packed, inputs, n_segments, batch)
 
@@ -634,116 +535,28 @@ def evaluate_words_batched(netlist: Union[Netlist, PackedNetlist],
     schedule = packed.schedule
     if schedule.const1.size:
         words[schedule.const1] = ~np.uint64(0)
-    _run_words(packed, schedule, words, kernel)
+    packed.program.run(words)
     return BatchedPackedValues(words=words, n_segments=n_segments,
                                batch=batch, half_batch=half_batch)
 
 
 def evaluate(netlist: Union[Netlist, PackedNetlist],
              inputs: Mapping[str, ArrayLike],
-             batch: Optional[int] = None,
-             kernel: Optional[str] = None) -> np.ndarray:
+             batch: Optional[int] = None) -> np.ndarray:
     """Evaluate every net of ``netlist`` for a batch of input patterns.
 
     Args:
         netlist: The circuit (or its packed view).
         inputs: Mapping from primary-input name (``"act[3]"`` style) to a
             boolean batch array or a scalar (broadcast over the batch).
-        batch: Batch size; inferred from the first array input when
-            omitted.
-        kernel: ``"compiled"``, ``"packed"``, ``"levelized"`` or
-            ``"reference"`` — all bit-for-bit identical; the slower
-            kernels exist as the testing oracle and for benchmarking.
-            ``None``/``"auto"`` (default) resolves through
-            ``REPRO_SIM_KERNEL`` / config (see
-            :mod:`repro.sim.compiled`).
+        batch: Batch size; inferred from the array inputs (their
+            broadcast length) when omitted.
 
     Returns:
         Boolean matrix ``values[net, sample]`` holding the logic value of
         every net for every pattern.
     """
-    packed = _resolve_packed(netlist)
-    if kernel is None or kernel == "auto":
-        kernel = _compiled.default_kernel()
-    if kernel in ("packed", "compiled"):
-        return evaluate_words(packed, inputs, batch,
-                              kernel=kernel).unpack()
-    if kernel == "levelized":
-        batch = _infer_batch(inputs, batch)
-        input_nets, input_bits = _input_matrix(packed, inputs, batch)
-        values = np.zeros((len(packed), batch), dtype=bool)
-        values[input_nets] = input_bits
-        schedule = packed.schedule
-        values[schedule.const1] = True
-        _run_schedule_bool(schedule, values)
-        return values
-    if kernel == "reference":
-        return _evaluate_reference(packed, inputs, batch)
-    raise ValueError(f"unknown kernel {kernel!r}; choose from "
-                     f"('compiled', 'packed', 'levelized', 'reference')")
-
-
-def _evaluate_reference(packed: PackedNetlist,
-                        inputs: Mapping[str, ArrayLike],
-                        batch: Optional[int] = None) -> np.ndarray:
-    """The original per-gate interpreted walk (executable spec)."""
-    names = packed.netlist.input_names
-    batch = _infer_batch(inputs, batch)
-
-    missing = set(names) - set(inputs)
-    if missing:
-        raise ValueError(f"missing values for inputs: {sorted(missing)}")
-
-    values = np.empty((len(packed), batch), dtype=bool)
-    for name, net in names.items():
-        arr = np.asarray(inputs[name], dtype=bool)
-        values[net] = np.broadcast_to(arr, (batch,))
-
-    types = packed.types
-    f0, f1, f2 = packed.fanin0, packed.fanin1, packed.fanin2
-    for net in range(len(packed)):
-        gtype = types[net]
-        if gtype == GateType.INPUT:
-            continue
-        if gtype == GateType.CONST0:
-            values[net] = False
-        elif gtype == GateType.CONST1:
-            values[net] = True
-        elif gtype == GateType.INV:
-            np.logical_not(values[f0[net]], out=values[net])
-        elif gtype == GateType.BUF:
-            values[net] = values[f0[net]]
-        elif gtype == GateType.AND2:
-            np.logical_and(values[f0[net]], values[f1[net]],
-                           out=values[net])
-        elif gtype == GateType.OR2:
-            np.logical_or(values[f0[net]], values[f1[net]],
-                          out=values[net])
-        elif gtype == GateType.NAND2:
-            np.logical_and(values[f0[net]], values[f1[net]],
-                           out=values[net])
-            np.logical_not(values[net], out=values[net])
-        elif gtype == GateType.NOR2:
-            np.logical_or(values[f0[net]], values[f1[net]],
-                          out=values[net])
-            np.logical_not(values[net], out=values[net])
-        elif gtype == GateType.XOR2:
-            np.logical_xor(values[f0[net]], values[f1[net]],
-                           out=values[net])
-        elif gtype == GateType.XNOR2:
-            np.logical_xor(values[f0[net]], values[f1[net]],
-                           out=values[net])
-            np.logical_not(values[net], out=values[net])
-        elif gtype == GateType.MUX2:
-            # Write through the preallocated row instead of allocating a
-            # fresh np.where result: default to fanin1, overwrite the
-            # selected samples with fanin2.
-            out = values[net]
-            np.copyto(out, values[f1[net]])
-            np.copyto(out, values[f2[net]], where=values[f0[net]])
-        else:  # pragma: no cover - enum is exhaustive
-            raise AssertionError(f"unhandled gate type {gtype}")
-    return values
+    return evaluate_words(netlist, inputs, batch).unpack()
 
 
 def read_output_bus(netlist: Union[Netlist, PackedNetlist],

@@ -1,18 +1,16 @@
-"""Level-program compiler: flatten a :class:`LevelSchedule` to opcodes.
+"""Level program: the gate-simulation executor over packed words.
 
 The levelized schedule (:class:`~repro.netlist.gates.LevelSchedule`) is
 a tuple of per-(level, type) :class:`~repro.netlist.gates.GateGroup`
-objects — ideal for numpy fancy indexing, but still a Python object
-walk (~100–150 groups per netlist per launch, most only a handful of
-gates wide) and opaque to compiled backends.  A :class:`LevelProgram`
-flattens that schedule into one contiguous set of typed ``int32``
-arrays — per-gate opcode, fanin net indices, output net index, level
-boundaries, arity — the *instruction stream* a compiled interpreter
-(:mod:`repro.sim.compiled`) executes gate by gate.
+objects (~100–150 groups per netlist, most only a handful of gates
+wide), so walking it group by group costs one Python dispatch per
+group.  A :class:`LevelProgram` flattens that schedule into contiguous
+typed arrays — per-gate opcode, fanin and output net indices — and
+:meth:`LevelProgram.run` executes it one *level* at a time.
 
-The program additionally reorders gates *within* each level (any
-within-level order is valid — levels only read strictly earlier
-levels) to make the vectorized numpy executor cheap:
+The program reorders gates *within* each level (any within-level order
+is valid — levels only read strictly earlier levels) to make each level
+a handful of numpy calls:
 
 * the three binary ufunc families form contiguous runs
   (``AND2|NAND2``, ``OR2|NOR2``, ``XOR2|XNOR2``), so each level needs
@@ -34,7 +32,8 @@ Python ints, keeping numpy scalar extraction out of the executor loop.
 The program is a pure function of the netlist; it is built once,
 cached on :class:`~repro.netlist.gates.PackedNetlist` alongside the
 schedule, and pickles warm to characterization workers (no per-shard
-rebuild).
+rebuild).  Its results are bit-for-bit those of the per-gate reference
+walk; the equivalence suite checks that.
 """
 
 from __future__ import annotations
@@ -60,13 +59,16 @@ _TYPE_PRIORITY: Dict[int, int] = {
 _INVERTING = frozenset({GateType.NAND2, GateType.NOR2,
                         GateType.XNOR2, GateType.INV})
 
-#: Binary ufunc family of each two-input type (index into the
-#: executor's ``(bitwise_and, bitwise_or, bitwise_xor)`` table).
+#: Binary ufunc family of each two-input type (index into
+#: :data:`_BINOP_UFUNCS`).
 _BINOP_FAMILY: Dict[int, int] = {
     GateType.AND2: 0, GateType.NAND2: 0,
     GateType.OR2: 1, GateType.NOR2: 1,
     GateType.XOR2: 2, GateType.XNOR2: 2,
 }
+
+#: Binary ufunc family table, indexed by the program's run family ids.
+_BINOP_UFUNCS = (np.bitwise_and, np.bitwise_or, np.bitwise_xor)
 
 
 class LevelProgram:
@@ -81,25 +83,21 @@ class LevelProgram:
         n_nets: Number of nets (rows of the value matrix).
         n_gates: Number of scheduled gate instances.
         ops: Per-gate opcode (:class:`GateType` value), ``int32``.
-        arity: Per-gate live-fanin count, ``int32``.
         src0 / src1 / src2: Per-gate fanin net indices (-1 unused).
-        src1_safe: ``src1`` with unused slots redirected to ``src0`` —
-            lets the level-wide blind gather stay in bounds for unary
-            gates (the gathered value is never read for them).
         dst: Per-gate output net index.
         inv_mask: Per-gate ``uint64`` complement mask (all ones for the
             inverting types, zero otherwise).
-        level_starts: ``(n_levels_used + 1,)`` gate-index boundaries of
-            the levels, ``int32``.
-        mux_starts: Per level, the gate index where the MUX2 tail
-            begins (== the level end when the level has none).
         gather_idx: Flat ``int32`` net indices of every level's merged
-            operand gather ``[src0 | src1_safe | mux src2]``;
-            per-level extents live in ``level_plan``.
+            operand gather ``[src0 | src1 | mux src2]``, where unary
+            gates gather ``src0`` again in the ``src1`` slot (keeping
+            the level-wide blind load in bounds; the value is never
+            read); per-level extents live in ``level_plan``.
         level_plan: Per level, a plain-int tuple
             ``(start, stop, mux_start, g_start, g_stop, has_invert,
-            binop_runs)`` where ``binop_runs`` is a tuple of
-            ``(family, rel_start, rel_stop)`` relative to ``start``.
+            binop_runs)`` where ``mux_start`` is the gate index where
+            the MUX2 tail begins (``stop`` when the level has none) and
+            ``binop_runs`` is a tuple of ``(family, rel_start,
+            rel_stop)`` relative to ``start``.
     """
 
     def __init__(self, schedule: LevelSchedule) -> None:
@@ -109,7 +107,6 @@ class LevelProgram:
         self.n_gates = n_gates
 
         self.ops = np.empty(n_gates, dtype=np.int32)
-        self.arity = np.empty(n_gates, dtype=np.int32)
         self.dst = np.empty(n_gates, dtype=np.int32)
         self.src0 = np.empty(n_gates, dtype=np.int32)
         self.src1 = np.empty(n_gates, dtype=np.int32)
@@ -124,8 +121,6 @@ class LevelProgram:
             by_level.setdefault(level, []).append(group)
 
         all_ones = ~np.uint64(0)
-        level_starts: List[int] = [0]
-        mux_starts: List[int] = []
         gather_parts: List[np.ndarray] = []
         level_plan: List[Tuple] = []
         g_pos = 0
@@ -141,7 +136,6 @@ class LevelProgram:
                 size = group.dst.size
                 span = slice(pos, pos + size)
                 self.ops[span] = group.gtype
-                self.arity[span] = group.n_fanins
                 self.dst[span] = group.dst
                 self.src0[span] = group.f0
                 self.src1[span] = group.f1
@@ -165,8 +159,6 @@ class LevelProgram:
             stop = pos
             if mux_start is None:
                 mux_start = stop
-            level_starts.append(stop)
-            mux_starts.append(mux_start)
 
             # One merged operand gather per level: every gate's first
             # and second fanin (src1 redirected to src0 for unary
@@ -185,10 +177,6 @@ class LevelProgram:
                                has_invert, tuple(binop_runs)))
             g_pos += gather.size
 
-        self.src1_safe = np.where(self.src1 >= 0, self.src1,
-                                  self.src0).astype(np.int32)
-        self.level_starts = np.asarray(level_starts, dtype=np.int32)
-        self.mux_starts = np.asarray(mux_starts, dtype=np.int32)
         self.gather_idx = (np.concatenate(gather_parts)
                            if gather_parts
                            else np.empty(0, dtype=np.int32))
@@ -197,7 +185,48 @@ class LevelProgram:
     @property
     def n_levels(self) -> int:
         """Number of levels that contain at least one gate."""
-        return self.level_starts.size - 1
+        return len(self.level_plan)
+
+    def run(self, words: np.ndarray) -> None:
+        """Execute the program over packed ``(nets, n_words)`` words,
+        in place.
+
+        Per level: one merged fancy-index gather loads every operand
+        word, each binary family is one in-place ufunc call on its
+        contiguous run, one broadcast XOR with ``inv_mask`` complements
+        the NAND/NOR/XNOR/INV results (BUF rides along with a zero
+        mask), the MUX2 tail evaluates ``p ^ (sel & (p ^ q))`` inside
+        the gathered block, and one scatter writes the level's outputs
+        back.  Padding bits beyond the batch may take arbitrary values
+        (inverting gates set them); word ops never mix words, so they
+        cannot reach a valid sample.
+        """
+        dst = self.dst
+        gather_idx = self.gather_idx
+        inv_mask = self.inv_mask
+        for (start, stop, mux_start, g_start, g_stop,
+             has_invert, binop_runs) in self.level_plan:
+            n = stop - start
+            block = words[gather_idx[g_start:g_stop]]
+            a = block[:n]
+            b = block[n:2 * n]
+            for (family, r0, r1) in binop_runs:
+                _BINOP_UFUNCS[family](a[r0:r1], b[r0:r1], out=a[r0:r1])
+            if has_invert:
+                a ^= inv_mask[start:stop, None]
+            if mux_start < stop:
+                # out = p ^ (sel & (p ^ q)) — p if sel==0 else q — with
+                # sel in a's tail, p in b's tail, q in the gathered c
+                # block; computed in place, then folded into ``a`` so
+                # the level needs a single scatter.
+                m = mux_start - start
+                c = block[2 * n:]
+                bm = b[m:]
+                np.bitwise_xor(c, bm, out=c)
+                np.bitwise_and(c, a[m:], out=c)
+                np.bitwise_xor(c, bm, out=c)
+                a[m:] = c
+            words[dst[start:stop]] = a
 
     def stats(self) -> Dict[str, int]:
         """Program shape summary (for benchmarks and logs)."""

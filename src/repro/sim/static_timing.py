@@ -12,11 +12,9 @@ Both passes run levelized over the netlist's cached
 :class:`~repro.netlist.gates.LevelSchedule` (the same execution plan the
 logic and dynamic-timing kernels use): per level, the max-reduction over
 fanins is one batched numpy gather instead of a per-net Python walk.
-The results are bit-for-bit identical to the original walks — float max
-is exact, and every net's single ``+ delay`` happens in the same order —
-so adopting the kernels required no golden regeneration and no stage
-version bumps.  The walks are kept as ``*_reference`` executable
-specifications and property-test oracles.
+The results are bit-for-bit identical to the original per-net walks —
+float max is exact, and every net's single ``+ delay`` happens in the
+same order — which the test suite keeps as its oracles.
 """
 
 from __future__ import annotations
@@ -55,28 +53,6 @@ def static_arrival_times(netlist: Union[Netlist, PackedNetlist],
     return arrivals
 
 
-def static_arrival_times_reference(
-        netlist: Union[Netlist, PackedNetlist], library) -> np.ndarray:
-    """The original per-net walk (executable specification).
-
-    Kept as the oracle :func:`static_arrival_times` is property-tested
-    against for bit-for-bit equality.
-    """
-    packed = _packed(netlist)
-    delays = packed.gate_delays(library)
-    arrivals = np.zeros(len(packed), dtype=np.float64)
-    f0, f1, f2 = packed.fanin0, packed.fanin1, packed.fanin2
-    for net in range(len(packed)):
-        if delays[net] == 0.0 and f0[net] < 0:
-            continue  # source node
-        worst = 0.0
-        for fanin in (f0[net], f1[net], f2[net]):
-            if fanin >= 0 and arrivals[fanin] > worst:
-                worst = arrivals[fanin]
-        arrivals[net] = worst + delays[net]
-    return arrivals
-
-
 def static_max_delay(netlist: Union[Netlist, PackedNetlist],
                      library) -> float:
     """Critical-path delay (ps) from any input to any output."""
@@ -103,7 +79,7 @@ def time_to_outputs(netlist: Union[Netlist, PackedNetlist],
     group relaxes its fanins with one unbuffered scatter-max
     (``np.maximum.at`` — duplicate fanins within a group are safe).
     Unreachable gates carry ``-inf`` through the adds and relax nothing,
-    exactly like the reference walk's skip.
+    exactly like a per-net walk that skips them.
     """
     packed = _packed(netlist)
     delays = packed.gate_delays(library)
@@ -117,28 +93,6 @@ def time_to_outputs(netlist: Union[Netlist, PackedNetlist],
             np.maximum.at(remaining, group.f1, through)
         if group.n_fanins >= 3:
             np.maximum.at(remaining, group.f2, through)
-    return remaining
-
-
-def time_to_outputs_reference(
-        netlist: Union[Netlist, PackedNetlist], library) -> np.ndarray:
-    """The original reverse-order per-net walk (executable
-    specification and property-test oracle)."""
-    packed = _packed(netlist)
-    delays = packed.gate_delays(library)
-    remaining = np.full(len(packed), -np.inf, dtype=np.float64)
-    for net in packed.netlist.output_names.values():
-        remaining[net] = max(remaining[net], 0.0)
-    f0, f1, f2 = packed.fanin0, packed.fanin1, packed.fanin2
-    # Walk in reverse topological order, relaxing fanins through each gate:
-    # reaching this gate's output costs the gate's own delay.
-    for net in range(len(packed) - 1, -1, -1):
-        if remaining[net] == -np.inf:
-            continue
-        through = remaining[net] + delays[net]
-        for fanin in (f0[net], f1[net], f2[net]):
-            if fanin >= 0 and through > remaining[fanin]:
-                remaining[fanin] = through
     return remaining
 
 

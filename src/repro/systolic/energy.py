@@ -26,7 +26,7 @@ from repro.cells.voltage import VoltageModel
 from repro.power.characterization import WeightPowerTable
 from repro.power.estimator import PowerBreakdown
 from repro.systolic.config import HardwareVariant, SystolicConfig
-from repro.systolic.mapping import Tile, TileSchedule
+from repro.systolic.mapping import TileSchedule
 
 #: Size of the dense signed-8-bit weight-value lookup.
 _LUT_SIZE = 1 << 8
@@ -38,8 +38,8 @@ class ScheduleCounts:
 
     Every quantity is an exact integer (stored in float64 for
     ``weight_counts``, far below 2**53), which is what makes the
-    vectorized one-shot ``np.bincount`` reduction bit-identical to the
-    per-tile accumulation loop: both sum the same integers.
+    one-shot ``np.bincount`` reduction bit-identical to a per-tile
+    accumulation loop: both sum the same integers.
 
     Attributes:
         weight_counts: ``(256,)`` — for each stationary weight value
@@ -59,15 +59,14 @@ class ScheduleCounts:
     total_cycles: int
 
 
-def schedule_value_counts(schedule: TileSchedule, weights: np.ndarray,
-                          vectorized: bool = True) -> ScheduleCounts:
+def schedule_value_counts(schedule: TileSchedule,
+                          weights: np.ndarray) -> ScheduleCounts:
     """Cycle-weighted stationary-value counts for a whole schedule.
 
-    The vectorized path paints each tile's cycle count over its
-    ``(K, N)`` slice and reduces the entire weight matrix with one
-    ``np.bincount``; the loop path accumulates an integer bincount per
-    tile.  Both produce bit-identical counts (asserted in tests), the
-    loop is kept as the oracle.
+    Paints each tile's cycle count over its ``(K, N)`` slice and
+    reduces the entire weight matrix with one ``np.bincount``.  The
+    counts are bit-identical to accumulating an integer bincount per
+    tile, the loop the test suite keeps as its oracle.
     """
     weights = np.asarray(weights, dtype=np.int64)
     if weights.shape != (schedule.k, schedule.n):
@@ -84,24 +83,15 @@ def schedule_value_counts(schedule: TileSchedule, weights: np.ndarray,
     index = weights - (-(1 << 7))
     if index.size and (index.min() < 0 or index.max() >= _LUT_SIZE):
         raise ValueError("weights outside the signed-8-bit range")
-    if vectorized:
-        # One bincount over the whole matrix, weighted by the per-cell
-        # cycle count (+= per tile handles arbitrary tile lists the
-        # same way the reference loop does).
-        cycle_map = np.zeros(weights.shape, dtype=np.float64)
-        for tile, tile_cycles in zip(tiles, cycles):
-            cycle_map[tile.row_start:tile.row_stop,
-                      tile.col_start:tile.col_stop] += tile_cycles
-        counts = np.bincount(index.ravel(), weights=cycle_map.ravel(),
-                             minlength=_LUT_SIZE)
-    else:
-        acc = np.zeros(_LUT_SIZE, dtype=np.int64)
-        for tile, tile_cycles in zip(tiles, cycles):
-            tile_index = index[tile.row_start:tile.row_stop,
-                               tile.col_start:tile.col_stop]
-            acc += tile_cycles * np.bincount(tile_index.ravel(),
-                                             minlength=_LUT_SIZE)
-        counts = acc.astype(np.float64)
+    # One bincount over the whole matrix, weighted by the per-cell
+    # cycle count (+= per tile handles arbitrary tile lists the same
+    # way a per-tile loop does).
+    cycle_map = np.zeros(weights.shape, dtype=np.float64)
+    for tile, tile_cycles in zip(tiles, cycles):
+        cycle_map[tile.row_start:tile.row_stop,
+                  tile.col_start:tile.col_stop] += tile_cycles
+    counts = np.bincount(index.ravel(), weights=cycle_map.ravel(),
+                         minlength=_LUT_SIZE)
 
     return ScheduleCounts(
         weight_counts=counts,
@@ -155,76 +145,23 @@ class ArrayPowerModel:
     def _dynamic_of(self, weight: int) -> float:
         return float(self._dynamic_lut[weight - self._weight_offset])
 
-    def tile_power(self, tile: Tile, tile_weights: np.ndarray,
-                   variant: HardwareVariant) -> PowerBreakdown:
-        """Average power while one tile is streaming, at nominal voltage.
-
-        Args:
-            tile: Tile geometry.
-            tile_weights: ``(rows_used, cols_used)`` stationary weights.
-            variant: Hardware gating features.
-        """
-        tile_weights = np.asarray(tile_weights, dtype=np.int64)
-        if tile_weights.shape != (tile.rows_used, tile.cols_used):
-            raise ValueError(
-                f"tile weights shape {tile_weights.shape} does not match "
-                f"tile {tile.rows_used}x{tile.cols_used}"
-            )
-        config, params = self.config, self.params
-
-        flat = tile_weights.ravel()
-        per_pe_dynamic = self._dynamic_lut[flat - self._weight_offset]
-        if variant.clock_gate_zero_weight:
-            ungated = flat != 0  # gated PEs burn neither data nor clock
-            active_dynamic = float(per_pe_dynamic[ungated].sum())
-            clocked_pes = int(ungated.sum())
-        else:
-            active_dynamic = float(per_pe_dynamic.sum())
-            clocked_pes = flat.size
-
-        used_cols = tile.cols_used
-        idle_rows_pes = (config.rows - tile.rows_used) * used_cols
-        unused_cols = config.cols - used_cols
-        unused_col_pes = unused_cols * config.rows
-
-        # Idle PEs (rows beyond the tile, or whole unused columns) carry
-        # no data activity; whether they still burn clock power depends
-        # on the gating features.
-        if not variant.clock_gate_zero_weight:
-            clocked_pes += idle_rows_pes
-        if variant.power_gate_unused_columns:
-            leaking_pes = config.n_pes - unused_col_pes
-        else:
-            if not variant.clock_gate_zero_weight:
-                clocked_pes += unused_col_pes
-            leaking_pes = config.n_pes
-
-        dynamic = active_dynamic + clocked_pes * params.clock_power_uw
-        leakage = leaking_pes * params.leakage_uw
-        return PowerBreakdown(dynamic_uw=dynamic, leakage_uw=leakage)
-
     def layer_power(self, schedule: TileSchedule, weights: np.ndarray,
                     variant: HardwareVariant,
-                    vdd: Optional[float] = None,
-                    vectorized: bool = True) -> PowerBreakdown:
+                    vdd: Optional[float] = None) -> PowerBreakdown:
         """Cycle-weighted average power of a whole layer.
 
         One bincount over the whole schedule's stationary values
-        replaces the per-tile loop + per-PE fancy-index sum of the
-        original implementation (kept as :meth:`layer_power_reference`).
-        ``vectorized=False`` runs the per-tile counting loop instead —
-        bit-identical by construction, both paths share the final
-        reduction over exact integer counts.
+        (:func:`schedule_value_counts`) replaces the per-tile loop and
+        per-PE fancy-index sum of the original implementation, which
+        the test suite keeps as its oracle (equal to float rounding:
+        it sums tile by tile).
 
         Args:
             schedule: Tile schedule of the layer.
             weights: Full ``(K, N)`` weight matrix the tiles slice.
             vdd: Optional scaled supply voltage.
-            vectorized: Count with the one-shot bincount (default) or
-                the per-tile loop.
         """
-        counts = schedule_value_counts(schedule, weights,
-                                       vectorized=vectorized)
+        counts = schedule_value_counts(schedule, weights)
         return self._power_from_counts(counts, variant, vdd)
 
     def _power_from_counts(self, counts: ScheduleCounts,
@@ -259,41 +196,6 @@ class ArrayPowerModel:
                         + clocked_pe_cycles * params.clock_power_uw
                         ) / total_cycles,
             leakage_uw=leaking_pe_cycles * params.leakage_uw / total_cycles,
-        )
-        if vdd is not None:
-            breakdown = breakdown.scaled(
-                self.voltage_model.dynamic_power_scale(vdd),
-                self.voltage_model.leakage_power_scale(vdd),
-            )
-        return breakdown
-
-    def layer_power_reference(self, schedule: TileSchedule,
-                              weights: np.ndarray,
-                              variant: HardwareVariant,
-                              vdd: Optional[float] = None
-                              ) -> PowerBreakdown:
-        """Original per-tile implementation, kept as the test oracle
-        for :meth:`layer_power` (agrees to float rounding)."""
-        weights = np.asarray(weights, dtype=np.int64)
-        if weights.shape != (schedule.k, schedule.n):
-            raise ValueError(
-                f"weight matrix {weights.shape} does not match schedule "
-                f"({schedule.k}, {schedule.n})"
-            )
-        energy_dyn = 0.0
-        energy_leak = 0.0
-        total_cycles = 0
-        for tile in schedule:
-            tile_w = weights[tile.row_start:tile.row_stop,
-                             tile.col_start:tile.col_stop]
-            power = self.tile_power(tile, tile_w, variant)
-            cycles = tile.cycles()
-            energy_dyn += power.dynamic_uw * cycles
-            energy_leak += power.leakage_uw * cycles
-            total_cycles += cycles
-        breakdown = PowerBreakdown(
-            dynamic_uw=energy_dyn / total_cycles,
-            leakage_uw=energy_leak / total_cycles,
         )
         if vdd is not None:
             breakdown = breakdown.scaled(

@@ -147,7 +147,7 @@ class WeightDelayProfiler:
         self.model = MacTimingModel(mac, library)
         self.chunk = chunk
         self._packed = mac.multiplier.packed()
-        # Build the levelized plan and its compiled level program once,
+        # Build the levelized plan and its level program once,
         # outside the per-weight loop (and before any worker pickling
         # ships the packed view, so shards receive both warm).
         self._packed.schedule

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import array_power as oracle
 from repro.core.stages import shared_stage_keys
 from repro.experiments.config import NETWORK_SPECS
 from repro.experiments.sweep import (
@@ -186,10 +187,8 @@ class TestVectorizedLayerPower:
         rng = np.random.default_rng(seed)
         weights = rng.integers(-127, 128, (k, n))
         weights[rng.random(weights.shape) < sparsity] = 0
-        fast = schedule_value_counts(schedule, weights,
-                                     vectorized=True)
-        slow = schedule_value_counts(schedule, weights,
-                                     vectorized=False)
+        fast = schedule_value_counts(schedule, weights)
+        slow = oracle.schedule_value_counts_loop(schedule, weights)
         assert np.array_equal(fast.weight_counts, slow.weight_counts)
         assert fast.tile_pe_cycles == slow.tile_pe_cycles
         assert fast.idle_row_pe_cycles == slow.idle_row_pe_cycles
@@ -198,8 +197,8 @@ class TestVectorizedLayerPower:
         model = _model(config)
         for variant in (STANDARD_HW, OPTIMIZED_HW):
             assert model.layer_power(schedule, weights, variant) \
-                == model.layer_power(schedule, weights, variant,
-                                     vectorized=False)
+                == oracle.layer_power_loop(model, schedule, weights,
+                                           variant)
 
     @settings(max_examples=25, deadline=None)
     @given(dims=_DIMS, size=_GRID, seed=st.integers(0, 2 ** 31 - 1))
@@ -212,8 +211,8 @@ class TestVectorizedLayerPower:
         model = _model(config)
         for variant in (STANDARD_HW, OPTIMIZED_HW):
             got = model.layer_power(schedule, weights, variant)
-            want = model.layer_power_reference(schedule, weights,
-                                               variant)
+            want = oracle.layer_power_reference(model, schedule,
+                                                weights, variant)
             assert np.isclose(got.dynamic_uw, want.dynamic_uw,
                               rtol=1e-9)
             assert np.isclose(got.leakage_uw, want.leakage_uw,

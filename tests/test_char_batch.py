@@ -18,15 +18,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles.netlists import AWKWARD_BATCHES, random_netlists
+from oracles.sim_kernels import prebatch_reference_energies
 from repro.cells import default_library
 from repro.netlist import build_mac_unit
 from repro.power.binning import BinnedTransitions, PartialSumBinner
 from repro.power.characterization import (
     WeightPowerCharacterizer,
     resolve_batch_weights,
-    weight_seed_sequence,
 )
-from repro.power.transitions import TransitionDistribution, code_to_value
+from repro.power.transitions import TransitionDistribution
 from repro.sim import logic as logic_mod
 from repro.sim.logic import (
     BatchedPackedValues,
@@ -46,11 +47,6 @@ from repro.timing.profile import (
     WeightTimingTable,
 )
 
-from test_sim_kernel import random_netlists
-
-#: Sample counts hostile to 64-bit word packing.
-AWKWARD_SAMPLES = (1, 3, 63, 64, 65, 127, 129)
-
 
 # ----------------------------------------------------------------------
 # megabatch kernel
@@ -59,7 +55,7 @@ class TestEvaluateWordsBatched:
     @settings(max_examples=40, deadline=None)
     @given(netlist=random_netlists(),
            n_segments=st.integers(1, 5),
-           batch=st.sampled_from(AWKWARD_SAMPLES),
+           batch=st.sampled_from(AWKWARD_BATCHES),
            seed=st.integers(0, 2**32 - 1))
     def test_segments_equal_standalone_evaluations(self, netlist,
                                                    n_segments, batch,
@@ -82,7 +78,7 @@ class TestEvaluateWordsBatched:
     @settings(max_examples=40, deadline=None)
     @given(netlist=random_netlists(),
            n_segments=st.integers(1, 4),
-           half=st.sampled_from(AWKWARD_SAMPLES),
+           half=st.sampled_from(AWKWARD_BATCHES),
            seed=st.integers(0, 2**32 - 1))
     def test_paired_toggle_counts_equal_per_segment(self, netlist,
                                                     n_segments, half,
@@ -244,49 +240,6 @@ def characterizer_factory():
     return build
 
 
-def _pr4_reference_energies(char, weights, seed):
-    """The pre-batching (PR 4-era) characterization, frozen.
-
-    ``rng.choice``-based stimulus sampling plus a dense per-weight
-    weight bus — the RNG consumption that defined the golden tables.
-    """
-    energies = []
-    for weight in weights:
-        rng = np.random.default_rng(
-            weight_seed_sequence(seed, int(weight)))
-        n = char.n_samples
-        act = char.act_transitions
-        drawn = rng.choice(act.matrix.size, size=n, p=act.matrix.ravel())
-        acts = code_to_value(
-            np.concatenate([drawn // act.n_codes, drawn % act.n_codes]),
-            char.mac.act_bits)
-        bt = char.psum_transitions
-        dist = bt.distribution
-        drawn = rng.choice(dist.matrix.size, size=n,
-                           p=dist.matrix.ravel())
-        halves = []
-        for bin_ids in (drawn // dist.n_codes, drawn % dist.n_codes):
-            out = np.empty(n, dtype=np.int64)
-            for b in range(bt.binner.n_bins):
-                mask = bin_ids == b
-                count = int(mask.sum())
-                if count:
-                    out[mask] = rng.choice(bt.binner._exemplars[b],
-                                           size=count)
-            halves.append(out)
-        psums = np.concatenate(halves)
-
-        feed = bus_inputs("act", acts, char.mac.act_bits)
-        feed.update(bus_inputs(
-            "w", np.full(2 * n, int(weight), dtype=np.int64),
-            char.mac.weight_bits))
-        feed.update(bus_inputs("psum", psums, char.mac.psum_bits))
-        values = evaluate_words(char._packed, feed, pair_halves=True)
-        rates = paired_toggle_rates_words(values)
-        energies.append(float(np.dot(rates, char._energies)))
-    return np.array(energies)
-
-
 class TestPowerBatchedEquivalence:
     WEIGHTS = list(range(-127, 128, 24))
 
@@ -295,7 +248,7 @@ class TestPowerBatchedEquivalence:
             self, characterizer_factory, n_samples):
         char = characterizer_factory(n_samples)
         per = char.dynamic_energies_fj(self.WEIGHTS, seed=5)
-        reference = _pr4_reference_energies(char, self.WEIGHTS, seed=5)
+        reference = prebatch_reference_energies(char, self.WEIGHTS, seed=5)
         np.testing.assert_array_equal(per, reference)
         for batch_weights in (None, 1, 2, 3, len(self.WEIGHTS)):
             batched = char.dynamic_energies_fj_batched(

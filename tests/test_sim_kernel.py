@@ -1,12 +1,15 @@
-"""Property tests for the levelized / bit-packed simulation kernels.
+"""Equivalence suite for the gate-simulation kernels.
 
-The packed and levelized kernels must be *bit-for-bit* equal to the
-reference per-gate walk on every netlist and every batch size — that
-equivalence is what lets the pipeline adopt them with zero golden-file
-regeneration and zero stage-version bumps.  Hypothesis drives random
-DAGs (all gate types, shared constants, random fanins) and random batch
-sizes, including the awkward non-multiple-of-64 ones where packed-word
-padding bugs would live.
+Production evaluates netlists through one executor, the level program
+(:meth:`repro.sim.program.LevelProgram.run`), over bit-packed words,
+and times them with levelized passes.  Each must be *bit-for-bit*
+equal to the walk it replaced, kept in ``tests/oracles/sim_kernels.py``,
+on every netlist and every batch size — that equivalence is what lets
+the pipeline use them with zero golden-file regeneration and zero
+stage-version bumps.  Hypothesis drives random DAGs (all gate types,
+shared constants, random fanins) and random batch sizes, including the
+awkward non-multiple-of-64 ones where packed-word padding bugs would
+live.
 """
 
 import pickle
@@ -15,82 +18,67 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import sim_kernels as oracle
+from oracles.netlists import AWKWARD_BATCHES, random_feed, random_netlists
 from repro.cells import default_library
 from repro.netlist import NetlistBuilder, build_mac_unit
-from repro.netlist.gates import GateType, SOURCE_TYPES
+from repro.netlist.gates import GateType
 from repro.sim import logic as logic_mod
 from repro.sim.dynamic_timing import (
     dynamic_arrival_times,
-    dynamic_arrival_times_reference,
+    dynamic_bus_arrivals,
 )
 from repro.sim.logic import (
     bus_inputs,
     evaluate,
     evaluate_words,
+    evaluate_words_batched,
     pack_bits,
     popcount_words,
     unpack_bits,
+)
+from repro.sim.static_timing import (
+    static_arrival_times,
+    time_to_outputs,
 )
 from repro.sim.switching import (
     paired_toggle_rates,
     paired_toggle_rates_words,
 )
 
-#: Batch sizes hostile to 64-bit word packing.
-AWKWARD_BATCHES = (1, 3, 63, 64, 65, 127, 128, 129, 200)
 
-_CELL_TYPES = tuple(t for t in GateType if t not in SOURCE_TYPES)
-
-
-@st.composite
-def random_netlists(draw):
-    """A random topologically ordered DAG over all gate types."""
-    builder = NetlistBuilder("random")
-    n_inputs = draw(st.integers(1, 6))
-    nets = [builder.netlist.add_input(f"in[{i}]")
-            for i in range(n_inputs)]
-    if draw(st.booleans()):
-        nets.append(builder.const(False))
-    if draw(st.booleans()):
-        nets.append(builder.const(True))
-    n_gates = draw(st.integers(1, 40))
-    for __ in range(n_gates):
-        gtype = draw(st.sampled_from(_CELL_TYPES))
-        fanins = [nets[draw(st.integers(0, len(nets) - 1))]
-                  for __ in range(
-                      {GateType.INV: 1, GateType.BUF: 1,
-                       GateType.MUX2: 3}.get(gtype, 2))]
-        nets.append(builder.netlist.add_gate(gtype, *fanins))
-    builder.netlist.mark_output("y", nets[-1])
-    builder.netlist.mark_output("z", nets[len(nets) // 2])
-    return builder.build()
-
-
-def _random_feed(netlist, batch, seed):
+def _mult_feed(batch, seed=0):
     rng = np.random.default_rng(seed)
-    return {name: rng.random(batch) < 0.5
-            for name in netlist.input_names}
+    feed = bus_inputs("act", rng.integers(-128, 128, batch), 8)
+    feed.update(bus_inputs("w", rng.integers(-128, 128, batch), 8))
+    return feed
+
+
+def _assert_matches_oracles(netlist, feed):
+    """Values equal the per-gate walk; words (padding bits included)
+    equal the group walk."""
+    np.testing.assert_array_equal(oracle.evaluate_reference(netlist, feed),
+                                  evaluate(netlist, feed))
+    words = evaluate_words(netlist, feed).words
+    np.testing.assert_array_equal(oracle.regroup_words(netlist, words),
+                                  words)
 
 
 class TestKernelEquivalence:
     @settings(max_examples=60, deadline=None)
     @given(netlist=random_netlists(), batch=st.integers(1, 200),
            seed=st.integers(0, 2**32 - 1))
-    def test_all_kernels_bit_identical(self, netlist, batch, seed):
-        feed = _random_feed(netlist, batch, seed)
-        reference = evaluate(netlist, feed, kernel="reference")
-        levelized = evaluate(netlist, feed, kernel="levelized")
-        packed = evaluate(netlist, feed, kernel="packed")
-        np.testing.assert_array_equal(reference, levelized)
-        np.testing.assert_array_equal(reference, packed)
+    def test_matches_reference_and_group_walk(self, netlist, batch,
+                                              seed):
+        _assert_matches_oracles(netlist, random_feed(netlist, batch, seed))
 
     @settings(max_examples=30, deadline=None)
     @given(netlist=random_netlists(), half=st.integers(1, 130),
            seed=st.integers(0, 2**32 - 1))
     def test_paired_words_match_reference(self, netlist, half, seed):
         """Word-aligned halves reproduce the stacked boolean layout."""
-        feed = _random_feed(netlist, 2 * half, seed)
-        reference = evaluate(netlist, feed, kernel="reference")
+        feed = random_feed(netlist, 2 * half, seed)
+        reference = oracle.evaluate_reference(netlist, feed)
         paired = evaluate_words(netlist, feed, pair_halves=True)
         assert paired.half_batch == half
         np.testing.assert_array_equal(reference, paired.unpack())
@@ -100,17 +88,12 @@ class TestKernelEquivalence:
 
     @pytest.mark.parametrize("batch", AWKWARD_BATCHES)
     def test_mac_multiplier_awkward_batches(self, batch):
-        mac = build_mac_unit()
-        rng = np.random.default_rng(batch)
-        feed = bus_inputs("act", rng.integers(-128, 128, batch), 8)
-        feed.update(bus_inputs("w", rng.integers(-128, 128, batch), 8))
-        reference = evaluate(mac.multiplier, feed, kernel="reference")
-        np.testing.assert_array_equal(
-            reference, evaluate(mac.multiplier, feed))
+        _assert_matches_oracles(build_mac_unit().multiplier,
+                                _mult_feed(batch, seed=batch))
 
-    @pytest.mark.parametrize("kernel", ["packed", "levelized"])
-    def test_mux_and_const_corners(self, kernel):
-        """MUX2 select polarity and shared constants survive packing."""
+    def test_mux_and_const_corners(self):
+        """MUX2 select polarity and shared constants survive packing,
+        the XOR-select identity and the level reordering."""
         builder = NetlistBuilder()
         sel = builder.netlist.add_input("sel")
         a = builder.netlist.add_input("a")
@@ -123,23 +106,15 @@ class TestKernelEquivalence:
         netlist = builder.build()
         feed = {"sel": np.array([False, False, True, True] * 17),
                 "a": np.array([False, True, False, True] * 17)}
-        np.testing.assert_array_equal(
-            evaluate(netlist, feed, kernel="reference"),
-            evaluate(netlist, feed, kernel=kernel))
-
-    def test_unknown_kernel_rejected(self):
-        builder = NetlistBuilder()
-        builder.netlist.add_input("a")
-        with pytest.raises(ValueError, match="unknown kernel"):
-            evaluate(builder.build(), {"a": True}, kernel="quantum")
+        _assert_matches_oracles(netlist, feed)
 
     def test_missing_input_message_matches_reference(self):
         builder = NetlistBuilder()
         builder.netlist.add_input("a")
         builder.netlist.add_input("b")
-        for kernel in ("packed", "levelized", "reference"):
+        for run in (evaluate, oracle.evaluate_reference):
             with pytest.raises(ValueError, match="missing"):
-                evaluate(builder.build(), {"a": True}, kernel=kernel)
+                run(builder.build(), {"a": True})
 
     def test_odd_stacked_batch_rejected(self):
         builder = NetlistBuilder()
@@ -148,16 +123,92 @@ class TestKernelEquivalence:
             evaluate_words(builder.build(), {"a": np.zeros(3, bool)},
                            pair_halves=True)
 
-    def test_packed_netlist_survives_pickling(self):
-        """Workers receive packed views with a warm cached schedule."""
+    def test_program_pickles_warm(self):
+        """Workers receive packed views with the schedule and the
+        program already built."""
         packed = build_mac_unit().multiplier.packed()
-        packed.schedule  # build + cache
+        program = packed.program
         clone = pickle.loads(pickle.dumps(packed))
-        rng = np.random.default_rng(7)
-        feed = bus_inputs("act", rng.integers(-128, 128, 65), 8)
-        feed.update(bus_inputs("w", rng.integers(-128, 128, 65), 8))
+        assert clone._schedule is not None  # no rebuild in the worker
+        assert clone._program is not None
+        np.testing.assert_array_equal(program.dst, clone.program.dst)
+        feed = _mult_feed(65, seed=7)
+        np.testing.assert_array_equal(evaluate(packed, feed),
+                                      evaluate(clone, feed))
+
+    def test_batched_segments_match_group_walk(self):
+        """The one-launch characterization layout (paired megabatch,
+        per-segment frozen weight column) on the full MAC."""
+        mac = build_mac_unit()
+        rng = np.random.default_rng(9)
+        n_segments, half = 5, 100
+        feed = bus_inputs("act", rng.integers(-128, 128, 2 * half), 8)
+        feed.update(bus_inputs(
+            "w", rng.integers(-128, 128, (n_segments, 1)), 8))
+        feed.update(bus_inputs(
+            "psum", rng.integers(-(1 << 21), 1 << 21, 2 * half), 22))
+        values = evaluate_words_batched(mac.full, feed,
+                                        n_segments=n_segments,
+                                        batch=2 * half, pair_halves=True)
         np.testing.assert_array_equal(
-            evaluate(packed, feed), evaluate(clone, feed))
+            oracle.regroup_words(mac.full, values.words), values.words)
+
+    def test_words_out_reuse_is_exact(self):
+        """A poisoned reused buffer (dirty CONST/padding rows) cannot
+        leak into the evaluation."""
+        packed = build_mac_unit().multiplier.packed()
+        feed = _mult_feed(130, seed=2)
+        fresh = evaluate_words(packed, feed)
+        buf = np.full_like(fresh.words, ~np.uint64(0))  # all-ones poison
+        reused = evaluate_words(packed, feed, words_out=buf)
+        assert reused.words is buf
+        np.testing.assert_array_equal(fresh.words, reused.words)
+
+
+class TestBatchInference:
+    """The batch is the length every input broadcasts to, whatever the
+    order of the feed."""
+
+    @staticmethod
+    def _two_input_netlist():
+        builder = NetlistBuilder()
+        a = builder.netlist.add_input("a")
+        b = builder.netlist.add_input("b")
+        builder.netlist.mark_output("y", builder.xor2(a, b))
+        return builder.build()
+
+    def test_evaluate_words_either_key_order(self):
+        netlist = self._two_input_netlist()
+        short, full = np.array([True]), np.arange(5) % 2 == 0
+        forward = evaluate_words(netlist, {"a": short, "b": full})
+        backward = evaluate_words(netlist, {"b": full, "a": short})
+        assert forward.batch == backward.batch == 5
+        np.testing.assert_array_equal(forward.words, backward.words)
+
+    def test_evaluate_words_batched_either_key_order(self):
+        netlist = self._two_input_netlist()
+        column = np.array([[True], [False], [True]])
+        matrix = np.arange(21).reshape(3, 7) % 3 == 0
+        forward = evaluate_words_batched(netlist,
+                                         {"a": column, "b": matrix})
+        backward = evaluate_words_batched(netlist,
+                                          {"b": matrix, "a": column})
+        assert (forward.n_segments, forward.batch) == (3, 7)
+        assert (backward.n_segments, backward.batch) == (3, 7)
+        np.testing.assert_array_equal(forward.words, backward.words)
+
+    def test_dynamic_timing_either_key_order(self):
+        netlist = self._two_input_netlist()
+        library = default_library()
+        short, full = np.array([False]), np.arange(6) % 3 == 0
+        after = {"a": np.array([True]), "b": False}
+        forward = dynamic_arrival_times(
+            netlist, library, {"a": short, "b": full}, after)
+        backward = dynamic_arrival_times(
+            netlist, library, {"b": full, "a": short}, after)
+        assert forward[0].shape == (len(netlist), 6)
+        for got, want in zip(forward, backward):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestPackingPrimitives:
@@ -235,7 +286,7 @@ class TestPackingPrimitives:
         feed.update(bus_inputs(
             "psum", rng.integers(-(1 << 21), 1 << 21, 2 * n), 22))
         reference = paired_toggle_rates(
-            evaluate(mac.full, feed, kernel="reference"))
+            oracle.evaluate_reference(mac.full, feed))
         packed = paired_toggle_rates_words(
             evaluate_words(mac.full, feed, pair_halves=True))
         np.testing.assert_array_equal(reference, packed)
@@ -286,10 +337,11 @@ class TestDynamicTimingKernel:
            seed=st.integers(0, 2**32 - 1))
     def test_fused_dta_matches_reference(self, netlist, batch, seed):
         library = default_library()
-        before = _random_feed(netlist, batch, seed)
-        after = _random_feed(netlist, batch, seed + 1)
-        ref_arrivals, ref_toggled = dynamic_arrival_times_reference(
-            netlist, library, before, after)
+        before = random_feed(netlist, batch, seed)
+        after = random_feed(netlist, batch, seed + 1)
+        ref_arrivals, ref_toggled = \
+            oracle.dynamic_arrival_times_reference(netlist, library,
+                                                   before, after)
         arrivals, toggled = dynamic_arrival_times(
             netlist, library, before, after)
         np.testing.assert_array_equal(ref_toggled, toggled)
@@ -306,7 +358,7 @@ class TestDynamicTimingKernel:
         after = bus_inputs("act", rng.integers(-128, 128, n), 8)
         after.update(weight_bus)
         packed = mac.multiplier.packed()
-        ref_arrivals, __ = dynamic_arrival_times_reference(
+        ref_arrivals, __ = oracle.dynamic_arrival_times_reference(
             packed, library, before, after)
         buf = np.full((len(packed), n), np.nan)  # poisoned
         arrivals, __ = dynamic_arrival_times(
@@ -361,14 +413,9 @@ class TestStaticTimingEquivalence:
     @settings(max_examples=60, deadline=None)
     @given(netlist=random_netlists())
     def test_static_arrival_times_bit_identical(self, netlist):
-        from repro.sim.static_timing import (
-            static_arrival_times,
-            static_arrival_times_reference,
-        )
-
         library = default_library()
         np.testing.assert_array_equal(
-            static_arrival_times_reference(netlist, library),
+            oracle.static_arrival_times_reference(netlist, library),
             static_arrival_times(netlist, library))
 
     @settings(max_examples=60, deadline=None)
@@ -376,41 +423,24 @@ class TestStaticTimingEquivalence:
     def test_time_to_outputs_bit_identical(self, netlist):
         """Includes the -inf (output-unreachable) nets the random DAGs
         produce in abundance."""
-        from repro.sim.static_timing import (
-            time_to_outputs,
-            time_to_outputs_reference,
-        )
-
         library = default_library()
-        reference = time_to_outputs_reference(netlist, library)
+        reference = oracle.time_to_outputs_reference(netlist, library)
         np.testing.assert_array_equal(reference,
                                       time_to_outputs(netlist, library))
 
     @pytest.mark.parametrize("block", ["full", "multiplier", "adder"])
     def test_mac_blocks_bit_identical(self, block):
-        from repro.sim.static_timing import (
-            static_arrival_times,
-            static_arrival_times_reference,
-            time_to_outputs,
-            time_to_outputs_reference,
-        )
-
         netlist = getattr(build_mac_unit(), block)
         library = default_library()
         np.testing.assert_array_equal(
-            static_arrival_times_reference(netlist, library),
+            oracle.static_arrival_times_reference(netlist, library),
             static_arrival_times(netlist, library))
         np.testing.assert_array_equal(
-            time_to_outputs_reference(netlist, library),
+            oracle.time_to_outputs_reference(netlist, library),
             time_to_outputs(netlist, library))
 
     def test_source_only_netlist(self):
         """No gates at all: arrivals all zero, only outputs reach."""
-        from repro.sim.static_timing import (
-            static_arrival_times,
-            time_to_outputs,
-        )
-
         builder = NetlistBuilder("sources")
         builder.netlist.add_input("a")
         b = builder.netlist.add_input("b")
@@ -421,3 +451,147 @@ class TestStaticTimingEquivalence:
             static_arrival_times(netlist, library), [0.0, 0.0])
         np.testing.assert_array_equal(
             time_to_outputs(netlist, library), [-np.inf, 0.0])
+
+
+class TestLevelProgram:
+    @settings(max_examples=40, deadline=None)
+    @given(netlist=random_netlists())
+    def test_program_invariants(self, netlist):
+        packed = netlist.packed()
+        schedule = packed.schedule
+        program = packed.program
+        # Every scheduled gate appears exactly once, sources never.
+        gates = [net for net, __, __ in netlist.iter_gates()]
+        assert sorted(program.dst.tolist()) == gates
+        assert program.n_gates == len(gates)
+        levels = schedule.levels
+        for start, stop, mux_start, g0, g1, has_inv, runs \
+                in program.level_plan:
+            dst = program.dst[start:stop]
+            # Level-major: one level per plan entry, deps strictly
+            # earlier (the reordering freedom the executor relies on).
+            assert np.unique(levels[dst]).size == 1
+            for src in (program.src0[start:stop],
+                        program.src1[start:stop],
+                        program.src2[start:stop]):
+                live = src >= 0
+                assert (levels[src[live]] < levels[dst[live]]).all()
+            # MUX2 is exactly the tail run.
+            ops = program.ops[start:stop]
+            assert (ops[mux_start - start:] == GateType.MUX2).all()
+            assert not (ops[:mux_start - start] == GateType.MUX2).any()
+            # Invert mask is all-ones exactly on the inverting types.
+            inverting = np.isin(ops, (GateType.NAND2, GateType.NOR2,
+                                      GateType.XNOR2, GateType.INV))
+            np.testing.assert_array_equal(
+                program.inv_mask[start:stop] == ~np.uint64(0), inverting)
+            assert has_inv == bool(inverting.any())
+            # The merged gather is [src0 | src1 (src0 if unused) |
+            # mux src2].
+            n = stop - start
+            src0 = program.src0[start:stop]
+            src1 = program.src1[start:stop]
+            gather = program.gather_idx[g0:g1]
+            assert g1 - g0 == 2 * n + (stop - mux_start)
+            np.testing.assert_array_equal(gather[:n], src0)
+            np.testing.assert_array_equal(
+                gather[n:2 * n], np.where(src1 >= 0, src1, src0))
+            np.testing.assert_array_equal(
+                gather[2 * n:], program.src2[mux_start:stop])
+            # Binop runs tile exactly the two-input non-MUX gates, with
+            # the right ufunc family.
+            families = {0: (GateType.AND2, GateType.NAND2),
+                        1: (GateType.OR2, GateType.NOR2),
+                        2: (GateType.XOR2, GateType.XNOR2)}
+            covered = np.zeros(n, dtype=bool)
+            for family, r0, r1 in runs:
+                assert not covered[r0:r1].any()
+                covered[r0:r1] = True
+                assert np.isin(ops[r0:r1], families[family]).all()
+            assert (covered == np.isin(ops, sum(families.values(), ())))\
+                .all()
+
+    def test_stats_shape(self):
+        program = build_mac_unit().multiplier.packed().program
+        assert program.n_gates > 0
+        stats = program.stats()
+        assert stats["n_gates"] == program.n_gates
+        assert stats["n_levels"] == program.n_levels > 2
+        assert stats["n_binop_runs"] > 0
+
+    def test_source_only_netlist(self):
+        builder = NetlistBuilder("sources")
+        builder.netlist.add_input("a")
+        b = builder.netlist.add_input("b")
+        builder.netlist.mark_output("y", b)
+        packed = builder.build().packed()
+        program = packed.program
+        assert program.n_gates == 0
+        assert program.level_plan == ()
+        feed = {"a": np.ones(70, bool), "b": np.zeros(70, bool)}
+        _assert_matches_oracles(packed, feed)
+
+
+class TestStreamingDTA:
+    @settings(max_examples=40, deadline=None)
+    @given(netlist=random_netlists(), batch=st.integers(1, 130),
+           seed=st.integers(0, 2**32 - 1))
+    def test_streaming_matches_reference(self, netlist, batch, seed):
+        library = default_library()
+        before = random_feed(netlist, batch, seed)
+        after = random_feed(netlist, batch, seed + 1)
+        ref_arrivals, __ = oracle.dynamic_arrival_times_reference(
+            netlist, library, before, after)
+        nets = np.arange(ref_arrivals.shape[0], dtype=np.int64)
+        np.testing.assert_array_equal(
+            ref_arrivals,
+            dynamic_bus_arrivals(netlist, library, before, after, nets))
+
+    def _mult_transition(self, n, seed=3):
+        mac = build_mac_unit()
+        rng = np.random.default_rng(seed)
+        weight_bus = bus_inputs("w", np.full(n, -105), 8)
+        before = bus_inputs("act", rng.integers(-128, 128, n), 8)
+        before.update(weight_bus)
+        after = bus_inputs("act", rng.integers(-128, 128, n), 8)
+        after.update(weight_bus)
+        nets = np.asarray(
+            mac.multiplier.output_bus("product", mac.product_bits),
+            dtype=np.int64)
+        return mac.multiplier.packed(), before, after, nets
+
+    @pytest.mark.parametrize("batch", (63, 64, 129, 200))
+    def test_windowing_is_invisible(self, batch):
+        """Slab boundaries (and a tail window) cannot perturb a bit."""
+        library = default_library()
+        packed, before, after, nets = self._mult_transition(batch)
+        whole = dynamic_bus_arrivals(packed, library, before, after,
+                                     nets)
+        windowed = dynamic_bus_arrivals(packed, library, before, after,
+                                        nets, window=64)
+        np.testing.assert_array_equal(whole, windowed)
+        ref_arrivals, __ = oracle.dynamic_arrival_times_reference(
+            packed, library, before, after)
+        np.testing.assert_array_equal(whole, ref_arrivals[nets])
+
+    def test_arrivals_out_reuse_is_exact(self):
+        library = default_library()
+        packed, before, after, nets = self._mult_transition(190)
+        fresh = dynamic_bus_arrivals(packed, library, before, after,
+                                     nets, window=128)
+        buf = np.full((len(packed), 128), np.nan)  # poisoned
+        reused = dynamic_bus_arrivals(packed, library, before, after,
+                                      nets, window=128,
+                                      arrivals_out=buf)
+        np.testing.assert_array_equal(fresh, reused)
+
+    def test_window_and_buffer_validation(self):
+        library = default_library()
+        packed, before, after, nets = self._mult_transition(70)
+        with pytest.raises(ValueError, match="multiple of 64"):
+            dynamic_bus_arrivals(packed, library, before, after, nets,
+                                 window=100)
+        with pytest.raises(ValueError, match="arrivals_out"):
+            dynamic_bus_arrivals(packed, library, before, after, nets,
+                                 window=64,
+                                 arrivals_out=np.zeros((3, 64)))

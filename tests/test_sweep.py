@@ -1,13 +1,14 @@
 """Tests for the declarative sweep engine and parallel error naming."""
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields as dataclass_fields, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.artifacts import ArtifactStore
+from repro.core.pipeline import PipelineConfig
 from repro.core.stages import StageGraph, shared_stage_keys
 from repro.experiments import sweep as sweep_mod
 from repro.experiments.config import NETWORK_SPECS
@@ -202,6 +203,21 @@ def _graph_with(name: str, **changes) -> StageGraph:
 
 
 class TestCacheKeys:
+    def test_every_config_field_is_keyed_or_declared_non_key(self):
+        """No stale ``_NON_KEY_FIELDS`` entry and no unkeyed field.
+
+        ``accel`` reaches the keys through the ``accel_geometry`` and
+        ``accel_point`` payloads the ``accel_*`` stages hash.
+        """
+        fields = {f.name for f in dataclass_fields(PipelineConfig)}
+        non_key = set(sweep_mod._NON_KEY_FIELDS)
+        assert non_key <= fields
+        hashed = {name for stage in sweep_mod.POWER_PRUNING_GRAPH
+                  for name in stage.fields}
+        if hashed & {"accel_geometry", "accel_point"}:
+            hashed.add("accel")
+        assert fields - non_key - hashed == set()
+
     def test_char_jobs_and_verbose_never_in_point_cache_key(self):
         point = expand(make_sweep_spec("fig8", scale="smoke"))[0]
         baseline = point_cache_key(point, point_config(point))
