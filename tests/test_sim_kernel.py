@@ -27,6 +27,7 @@ from repro.sim import logic as logic_mod
 from repro.sim.dynamic_timing import (
     dynamic_arrival_times,
     dynamic_bus_arrivals,
+    dynamic_delays,
 )
 from repro.sim.logic import (
     bus_inputs,
@@ -52,6 +53,22 @@ def _mult_feed(batch, seed=0):
     feed = bus_inputs("act", rng.integers(-128, 128, batch), 8)
     feed.update(bus_inputs("w", rng.integers(-128, 128, batch), 8))
     return feed
+
+
+def _mult_transition(n, seed=3):
+    """An activation transition of the MAC multiplier under a frozen
+    weight, with the product bus nets."""
+    mac = build_mac_unit()
+    rng = np.random.default_rng(seed)
+    weight_bus = bus_inputs("w", np.full(n, -105), 8)
+    before = bus_inputs("act", rng.integers(-128, 128, n), 8)
+    before.update(weight_bus)
+    after = bus_inputs("act", rng.integers(-128, 128, n), 8)
+    after.update(weight_bus)
+    nets = np.asarray(
+        mac.multiplier.output_bus("product", mac.product_bits),
+        dtype=np.int64)
+    return mac.multiplier.packed(), before, after, nets
 
 
 def _assert_matches_oracles(netlist, feed):
@@ -90,6 +107,24 @@ class TestKernelEquivalence:
     def test_mac_multiplier_awkward_batches(self, batch):
         _assert_matches_oracles(build_mac_unit().multiplier,
                                 _mult_feed(batch, seed=batch))
+
+    @pytest.mark.parametrize("half", AWKWARD_BATCHES)
+    def test_mac_paired_halves_awkward_batches(self, half):
+        """The power characterization's stacked before/after layout on
+        the full MAC: word-aligned halves give the reference walk's
+        values and toggle rates at every word-packing corner."""
+        rng = np.random.default_rng(half)
+        mac = build_mac_unit()
+        feed = bus_inputs("act", rng.integers(-128, 128, 2 * half), 8)
+        feed.update(bus_inputs("w", np.full(2 * half, -105), 8))
+        feed.update(bus_inputs(
+            "psum", rng.integers(-(1 << 21), 1 << 21, 2 * half), 22))
+        reference = oracle.evaluate_reference(mac.full, feed)
+        paired = evaluate_words(mac.full, feed, pair_halves=True)
+        np.testing.assert_array_equal(reference, paired.unpack())
+        np.testing.assert_array_equal(
+            paired_toggle_rates(reference),
+            paired_toggle_rates_words(paired))
 
     def test_mux_and_const_corners(self):
         """MUX2 select polarity and shared constants survive packing,
@@ -177,26 +212,6 @@ class TestBatchInference:
         builder.netlist.mark_output("y", builder.xor2(a, b))
         return builder.build()
 
-    def test_evaluate_words_either_key_order(self):
-        netlist = self._two_input_netlist()
-        short, full = np.array([True]), np.arange(5) % 2 == 0
-        forward = evaluate_words(netlist, {"a": short, "b": full})
-        backward = evaluate_words(netlist, {"b": full, "a": short})
-        assert forward.batch == backward.batch == 5
-        np.testing.assert_array_equal(forward.words, backward.words)
-
-    def test_evaluate_words_batched_either_key_order(self):
-        netlist = self._two_input_netlist()
-        column = np.array([[True], [False], [True]])
-        matrix = np.arange(21).reshape(3, 7) % 3 == 0
-        forward = evaluate_words_batched(netlist,
-                                         {"a": column, "b": matrix})
-        backward = evaluate_words_batched(netlist,
-                                          {"b": matrix, "a": column})
-        assert (forward.n_segments, forward.batch) == (3, 7)
-        assert (backward.n_segments, backward.batch) == (3, 7)
-        np.testing.assert_array_equal(forward.words, backward.words)
-
     def test_dynamic_timing_either_key_order(self):
         netlist = self._two_input_netlist()
         library = default_library()
@@ -209,6 +224,84 @@ class TestBatchInference:
         assert forward[0].shape == (len(netlist), 6)
         for got, want in zip(forward, backward):
             np.testing.assert_array_equal(got, want)
+
+    #: ``(a, b)`` values that broadcast to one row of 5 samples.
+    ROW_FEEDS = {
+        "scalar": (True, np.arange(5) % 2 == 0),
+        "0-d": (np.array(False), np.arange(5) % 3 == 0),
+        "length-1": (np.array([True]), np.arange(5) % 2 == 0),
+        "list": ([False], [True, True, False, True, False]),
+        "equal-rows": (np.arange(5) % 2 == 0, np.arange(5) % 3 == 0),
+    }
+
+    @pytest.mark.parametrize("case", ROW_FEEDS)
+    def test_evaluate_words_either_key_order(self, case):
+        """Either key order gives the words of the explicitly broadcast
+        feed."""
+        netlist = self._two_input_netlist()
+        a, b = self.ROW_FEEDS[case]
+        want = evaluate_words(
+            netlist, {"a": np.broadcast_to(np.asarray(a, bool), (5,)),
+                      "b": np.broadcast_to(np.asarray(b, bool), (5,))},
+            batch=5)
+        for feed in ({"a": a, "b": b}, {"b": b, "a": a}):
+            got = evaluate_words(netlist, feed)
+            assert got.batch == 5
+            np.testing.assert_array_equal(got.words, want.words)
+
+    #: ``(a, b)`` values that broadcast to 3 segments of 7 samples.
+    MATRIX_FEEDS = {
+        "column-and-matrix": (np.array([[True], [False], [True]]),
+                              np.arange(21).reshape(3, 7) % 3 == 0),
+        "column-and-row": (np.array([[True], [False], [True]]),
+                           np.arange(7) % 2 == 0),
+        "scalar-and-matrix": (True,
+                              np.arange(21).reshape(3, 7) % 4 == 0),
+        "unit-row-and-matrix": (np.arange(7)[None] % 3 == 0,
+                                np.arange(21).reshape(3, 7) % 2 == 0),
+    }
+
+    @pytest.mark.parametrize("case", MATRIX_FEEDS)
+    def test_evaluate_words_batched_either_key_order(self, case):
+        netlist = self._two_input_netlist()
+        a, b = self.MATRIX_FEEDS[case]
+        want = evaluate_words_batched(
+            netlist,
+            {"a": np.broadcast_to(np.asarray(a, bool), (3, 7)),
+             "b": np.broadcast_to(np.asarray(b, bool), (3, 7))},
+            n_segments=3, batch=7)
+        for feed in ({"a": a, "b": b}, {"b": b, "a": a}):
+            got = evaluate_words_batched(netlist, feed)
+            assert (got.n_segments, got.batch) == (3, 7)
+            np.testing.assert_array_equal(got.words, want.words)
+
+    def test_evaluate_words_rejects_unbroadcastable_rows(self):
+        netlist = self._two_input_netlist()
+        short, full = np.zeros(3, bool), np.zeros(5, bool)
+        for feed in ({"a": short, "b": full}, {"b": full, "a": short}):
+            with pytest.raises(ValueError, match="broadcast"):
+                evaluate_words(netlist, feed)
+
+    def test_evaluate_words_batched_rejects_unbroadcastable_matrices(
+            self):
+        netlist = self._two_input_netlist()
+        two, three = np.zeros((2, 4), bool), np.zeros((3, 4), bool)
+        for feed in ({"a": two, "b": three}, {"b": three, "a": two}):
+            with pytest.raises(ValueError, match="broadcast"):
+                evaluate_words_batched(netlist, feed)
+
+    def test_dynamic_timing_rejects_unbroadcastable_transitions(self):
+        """``before`` and ``after`` share one batch: rows of 3 and 5
+        samples are an error in the dense and the streaming DTA."""
+        netlist = self._two_input_netlist()
+        library = default_library()
+        before = {"a": np.zeros(3, bool), "b": False}
+        after = {"a": np.ones(5, bool), "b": True}
+        nets = np.arange(len(netlist), dtype=np.int64)
+        with pytest.raises(ValueError, match="broadcast"):
+            dynamic_arrival_times(netlist, library, before, after)
+        with pytest.raises(ValueError, match="broadcast"):
+            dynamic_bus_arrivals(netlist, library, before, after, nets)
 
 
 class TestPackingPrimitives:
@@ -365,6 +458,41 @@ class TestDynamicTimingKernel:
             packed, library, before, after, out=buf)
         assert arrivals is buf
         np.testing.assert_array_equal(ref_arrivals, arrivals)
+
+    @pytest.mark.parametrize("batch", AWKWARD_BATCHES)
+    def test_mac_multiplier_awkward_batches(self, batch):
+        """Dense and streaming DTA run one propagation loop; both equal
+        the per-net walk on the MAC multiplier at every word-packing
+        corner."""
+        library = default_library()
+        packed, before, after, nets = _mult_transition(batch, seed=batch)
+        ref_arrivals, ref_toggled = \
+            oracle.dynamic_arrival_times_reference(packed, library,
+                                                   before, after)
+        arrivals, toggled = dynamic_arrival_times(packed, library,
+                                                  before, after)
+        np.testing.assert_array_equal(ref_toggled, toggled)
+        np.testing.assert_array_equal(ref_arrivals, arrivals)
+        np.testing.assert_array_equal(
+            ref_arrivals[nets],
+            dynamic_bus_arrivals(packed, library, before, after, nets,
+                                 window=64))
+
+    @settings(max_examples=30, deadline=None)
+    @given(netlist=random_netlists(), batch=st.integers(1, 130),
+           seed=st.integers(0, 2**32 - 1))
+    def test_dynamic_delays_match_reference(self, netlist, batch, seed):
+        """The sensitized delay is the latest output event of the
+        reference walk."""
+        library = default_library()
+        before = random_feed(netlist, batch, seed)
+        after = random_feed(netlist, batch, seed + 1)
+        ref_arrivals, __ = oracle.dynamic_arrival_times_reference(
+            netlist, library, before, after)
+        outputs = list(netlist.output_names.values())
+        np.testing.assert_array_equal(
+            ref_arrivals[outputs].max(axis=0),
+            dynamic_delays(netlist, library, before, after))
 
     def test_out_buffer_validated(self):
         mac = build_mac_unit()
@@ -547,24 +675,11 @@ class TestStreamingDTA:
             ref_arrivals,
             dynamic_bus_arrivals(netlist, library, before, after, nets))
 
-    def _mult_transition(self, n, seed=3):
-        mac = build_mac_unit()
-        rng = np.random.default_rng(seed)
-        weight_bus = bus_inputs("w", np.full(n, -105), 8)
-        before = bus_inputs("act", rng.integers(-128, 128, n), 8)
-        before.update(weight_bus)
-        after = bus_inputs("act", rng.integers(-128, 128, n), 8)
-        after.update(weight_bus)
-        nets = np.asarray(
-            mac.multiplier.output_bus("product", mac.product_bits),
-            dtype=np.int64)
-        return mac.multiplier.packed(), before, after, nets
-
     @pytest.mark.parametrize("batch", (63, 64, 129, 200))
     def test_windowing_is_invisible(self, batch):
         """Slab boundaries (and a tail window) cannot perturb a bit."""
         library = default_library()
-        packed, before, after, nets = self._mult_transition(batch)
+        packed, before, after, nets = _mult_transition(batch)
         whole = dynamic_bus_arrivals(packed, library, before, after,
                                      nets)
         windowed = dynamic_bus_arrivals(packed, library, before, after,
@@ -576,7 +691,7 @@ class TestStreamingDTA:
 
     def test_arrivals_out_reuse_is_exact(self):
         library = default_library()
-        packed, before, after, nets = self._mult_transition(190)
+        packed, before, after, nets = _mult_transition(190)
         fresh = dynamic_bus_arrivals(packed, library, before, after,
                                      nets, window=128)
         buf = np.full((len(packed), 128), np.nan)  # poisoned
@@ -587,7 +702,7 @@ class TestStreamingDTA:
 
     def test_window_and_buffer_validation(self):
         library = default_library()
-        packed, before, after, nets = self._mult_transition(70)
+        packed, before, after, nets = _mult_transition(70)
         with pytest.raises(ValueError, match="multiple of 64"):
             dynamic_bus_arrivals(packed, library, before, after, nets,
                                  window=100)
@@ -595,3 +710,33 @@ class TestStreamingDTA:
             dynamic_bus_arrivals(packed, library, before, after, nets,
                                  window=64,
                                  arrivals_out=np.zeros((3, 64)))
+
+    @pytest.mark.parametrize("chunk", (64, 4096))
+    def test_profiler_matches_reference_walk(self, monkeypatch, chunk):
+        """The full profiler path (chunking, buffer reuse, compose)
+        gives the delays it gives on the per-net reference walk."""
+        from repro.timing import profile as profile_mod
+
+        mac = build_mac_unit()
+        library = default_library()
+        rng = np.random.default_rng(5)
+        act_from = rng.integers(-128, 128, 230)
+        act_to = rng.integers(-128, 128, 230)
+        production = profile_mod.WeightDelayProfiler(
+            mac, library, chunk=chunk).delays(-105, act_from, act_to)
+
+        calls = []
+
+        def reference_bus_arrivals(netlist, library, before, after, nets,
+                                   **buffers):
+            calls.append(len(nets))
+            arrivals, __ = oracle.dynamic_arrival_times_reference(
+                netlist, library, before, after)
+            return arrivals[nets]
+
+        monkeypatch.setattr(profile_mod, "dynamic_bus_arrivals",
+                            reference_bus_arrivals)
+        reference = profile_mod.WeightDelayProfiler(
+            mac, library, chunk=chunk).delays(-105, act_from, act_to)
+        assert len(calls) == -(-230 // chunk)  # one walk per chunk
+        np.testing.assert_array_equal(production, reference)
