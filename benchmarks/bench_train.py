@@ -11,7 +11,15 @@ replaced (``tests/oracles/nn_kernels.py``):
   leaves them;
 * the restriction projector against the ``searchsorted`` projection, on
   activation codes of each of those layers' input shapes, laid out
-  channels-last as the quantized activations reach it.
+  channels-last as the quantized activations reach it;
+* ``BatchNorm2d`` and ``QuantReLU`` against the graphs composed from
+  elementary nodes, over every distinct batch norm and activation of
+  the four networks at smoke and ci scale (input layouts included) at
+  the training batch: training-mode forward and backward
+  (``batchnorm.train``, ``quantrelu.train``) and the eval-mode forward
+  (``batchnorm.eval``).  The backward starts from the same scalar loss
+  ``sum(out * grad)`` on both sides, and the oracle side accumulates
+  gradients by copying, as the composed graph did.
 
 Before anything is timed, every result is asserted bit-equal to the
 oracle: value, dtype and strides (to float rounding outside the
@@ -38,6 +46,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import argparse  # noqa: E402
+import contextlib  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import sys  # noqa: E402
@@ -52,6 +61,7 @@ sys.path.insert(0, str(ROOT / "tests"))
 
 from oracles import nn_kernels as oracle  # noqa: E402
 from repro.nn import autograd as ag  # noqa: E402
+from repro.nn import layers as nn_layers  # noqa: E402
 from repro.nn.autograd import Tensor  # noqa: E402
 from repro.nn.restrict import ActivationFilter  # noqa: E402
 
@@ -59,8 +69,9 @@ BATCH = 32
 
 #: Minimum speedup (oracle time / production time) per op, summed over
 #: the layers.  Set below the measured speedups (see BENCH_train.json);
-#: the depthwise forward is the same matrix-vector products as einsum's,
-#: so its floor only guards against a slowdown.
+#: the depthwise forward is the same matrix-vector products as einsum's
+#: and the eval-mode batch norm the same four numpy calls as the
+#: composed one, so their floors only guard against a slowdown.
 FLOORS = {
     "conv2d.forward": 1.1,
     "conv2d.dW": 1.1,
@@ -69,6 +80,9 @@ FLOORS = {
     "depthwise.dW": 2.0,
     "depthwise.dX": 1.2,
     "restrict.project": 8.0,
+    "batchnorm.train": 1.1,
+    "batchnorm.eval": 0.8,
+    "quantrelu.train": 1.0,
 }
 
 KERNELS = {"conv2d": (ag.conv2d, oracle.conv2d),
@@ -105,7 +119,55 @@ class ConvCase:
         return (x.grad if wrt == "x" else w.grad), elapsed
 
 
-def verify(cases, projector, codes) -> int:
+class NormCase:
+    """One traced batch norm or activation at the training batch."""
+
+    def __init__(self, layer, rng: np.random.Generator) -> None:
+        kind, shape, order, six = layer
+        self.kind = kind
+        self.x = oracle.in_layout(
+            rng.normal(0.5, 2.0, (BATCH, *shape)).astype(np.float32), order)
+        self.grad = rng.standard_normal((BATCH, *shape), dtype=np.float32)
+        if kind == "batchnorm":
+            self.module = nn_layers.BatchNorm2d(shape[0])
+            self.module.gamma.data = rng.normal(1, 0.2, shape[0]) \
+                .astype(np.float32)
+            self.module.beta.data = rng.normal(0, 0.2, shape[0]) \
+                .astype(np.float32)
+        else:
+            self.module = nn_layers.QuantReLU(six=six)
+            self.module.running_max = 4.0
+        self.state = self.module.state_dict()
+
+    def run(self, composed: bool, train: bool) -> dict:
+        """A forward (and, training, backward); every resulting array.
+        Training moves the module's running statistics."""
+        module = self.module
+        module.train(train)
+        context = (oracle.composed_layers() if composed
+                   else contextlib.nullcontext())
+        with context:
+            if not train:
+                with ag.no_grad():
+                    return {"forward": module(Tensor(self.x)).data}
+            x = Tensor(self.x, requires_grad=True)
+            out = module(x)
+            (out * Tensor(self.grad)).sum().backward()
+        arrays = {"forward": out.data, "dX": x.grad}
+        if self.kind == "batchnorm":
+            arrays.update(dgamma=module.gamma.grad, dbeta=module.beta.grad,
+                          running_mean=module.running_mean,
+                          running_var=module.running_var)
+        return arrays
+
+    def ops(self):
+        """(op name, training) of the timed rows this case belongs to."""
+        if self.kind == "batchnorm":
+            return [("batchnorm.train", True), ("batchnorm.eval", False)]
+        return [("quantrelu.train", True)]
+
+
+def verify(cases, projector, codes, norms) -> int:
     """Assert equality with the oracles (``oracle.assert_matches``);
     returns the number of arrays compared."""
     compared = 0
@@ -122,6 +184,16 @@ def verify(cases, projector, codes) -> int:
         oracle.assert_matches(projector(code),
                               oracle.nearest_allowed(projector.allowed, code))
         compared += 1
+    for case in norms:
+        for __, train in case.ops():
+            case.module.load_state_dict(case.state)
+            got = case.run(False, train)
+            case.module.load_state_dict(case.state)
+            want = case.run(True, train)
+            assert got.keys() == want.keys()
+            for name in want:
+                oracle.assert_matches(got[name], want[name])
+                compared += 1
     return compared
 
 
@@ -131,7 +203,7 @@ def _timed(fn, *args) -> float:
     return time.perf_counter() - start
 
 
-def bench(cases, projector, codes, repeats: int) -> dict:
+def bench(cases, projector, codes, norms, repeats: int) -> dict:
     """Seconds per pass over every layer, per op, new and oracle: the
     sum over layers of each layer's fastest of ``repeats`` runs."""
     times = {}
@@ -153,6 +225,10 @@ def bench(cases, projector, codes, repeats: int) -> dict:
     for side, project in (("new_s", projector), ("oracle_s", nearest)):
         for code in codes:
             record("restrict.project", side, lambda: _timed(project, code))
+    for case in norms:
+        for op, train in case.ops():
+            for side, composed in (("new_s", False), ("oracle_s", True)):
+                record(op, side, lambda: _timed(case.run, composed, train))
     for entry in times.values():
         entry["speedup"] = entry["oracle_s"] / entry["new_s"]
     return times
@@ -175,13 +251,15 @@ def main(argv=None) -> int:
     codes = [oracle.in_layout(
         rng.integers(-128, 128, (BATCH, *layer[1])), (0, 2, 3, 1))
         for layer in layers]
-    compared = verify(cases, projector, codes)
+    norms = [NormCase(layer, rng) for layer in oracle.traced_norm_layers()]
+    compared = verify(cases, projector, codes, norms)
     equal = "bit-equal" if oracle.BIT_EXACT else "equal to rounding"
     print(f"verified: {compared} arrays {equal} to the oracles "
-          f"({len(cases)} layers at batch {BATCH})")
+          f"({len(cases)} conv and {len(norms)} norm layers at batch "
+          f"{BATCH})")
 
     repeats = 3 if args.quick else 9
-    times = bench(cases, projector, codes, repeats)
+    times = bench(cases, projector, codes, norms, repeats)
     for op, entry in times.items():
         print(f"{op:20s} {entry['new_s'] * 1e3:9.2f} ms  oracle "
               f"{entry['oracle_s'] * 1e3:9.2f} ms  "
@@ -196,6 +274,7 @@ def main(argv=None) -> int:
         "repeats": repeats,
         "batch": BATCH,
         "layers": len(cases),
+        "norm_layers": len(norms),
         "projected_tensors": len(codes),
         "arrays_compared": compared,
         "bit_exact": oracle.BIT_EXACT,

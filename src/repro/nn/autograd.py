@@ -90,12 +90,23 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def _accumulate(self, grad: np.ndarray) -> None:
+    def _accumulate(self, grad: np.ndarray, alias: bool = False) -> None:
+        """Add ``grad`` into ``self.grad``.
+
+        A first gradient that its producer just allocated becomes
+        ``self.grad`` as it is when it is C-contiguous; an ``alias`` (the
+        upstream gradient passed straight through, or a view of it) and
+        any other layout are copied in C order.  So every ``.grad`` is a
+        C-ordered array of its own: later reductions over it walk memory
+        in that order, and a different layout would change their rounding.
+        """
         grad = grad.astype(np.float32, copy=False)
-        if self.grad is None:
+        if self.grad is not None:
+            self.grad += grad
+        elif alias or not grad.flags.c_contiguous:
             self.grad = grad.copy()
         else:
-            self.grad += grad
+            self.grad = grad
 
     def backward(self) -> None:
         """Reverse-mode sweep seeding d(self)/d(self) = 1.
@@ -208,14 +219,21 @@ def _make(data: np.ndarray, parents: Tuple[Tensor, ...],
 # ----------------------------------------------------------------------
 # elementwise arithmetic
 # ----------------------------------------------------------------------
+def _pass_through(a: Tensor, grad: np.ndarray) -> None:
+    """Accumulate an upstream ``grad`` into ``a``, summed over the axes
+    ``a`` was broadcast along; unreduced, it is the upstream array."""
+    reduced = _unbroadcast(grad, a.shape)
+    a._accumulate(reduced, alias=reduced is grad)
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data + b.data
 
     def backward():
         if a.requires_grad:
-            a._accumulate(_unbroadcast(out.grad, a.shape))
+            _pass_through(a, out.grad)
         if b.requires_grad:
-            b._accumulate(_unbroadcast(out.grad, b.shape))
+            _pass_through(b, out.grad)
 
     out = _make(out_data, (a, b), backward)
     return out
@@ -226,7 +244,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
     def backward():
         if a.requires_grad:
-            a._accumulate(_unbroadcast(out.grad, a.shape))
+            _pass_through(a, out.grad)
         if b.requires_grad:
             b._accumulate(_unbroadcast(-out.grad, b.shape))
 
@@ -328,7 +346,7 @@ def reshape(a: Tensor, shape) -> Tensor:
 
     def backward():
         if a.requires_grad:
-            a._accumulate(out.grad.reshape(old_shape))
+            a._accumulate(out.grad.reshape(old_shape), alias=True)
 
     out = _make(out_data, (a,), backward)
     return out
@@ -341,7 +359,7 @@ def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
 
     def backward():
         if a.requires_grad:
-            a._accumulate(out.grad.transpose(inverse))
+            a._accumulate(out.grad.transpose(inverse), alias=True)
 
     out = _make(out_data, (a,), backward)
     return out
@@ -389,16 +407,30 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # ----------------------------------------------------------------------
 # straight-through operators
 # ----------------------------------------------------------------------
-def ste_round(a: Tensor) -> Tensor:
-    """Round in the forward pass, identity in the backward pass."""
-    out_data = np.round(a.data)
+def straight_through(a: Tensor, out_data: np.ndarray,
+                     low: Optional[float] = None,
+                     high: Optional[float] = None) -> Tensor:
+    """A node with a precomputed forward ``out_data`` whose backward
+    passes the gradient straight through to ``a``: everywhere without
+    bounds, else where ``low <= a`` (and ``a <= high`` when given) and
+    zero elsewhere, the clipped straight-through estimator."""
 
     def backward():
-        if a.requires_grad:
-            a._accumulate(out.grad)
+        if low is None:
+            a._accumulate(out.grad, alias=True)
+            return
+        inside = a.data >= low
+        if high is not None:
+            inside &= a.data <= high
+        a._accumulate(out.grad * inside)
 
     out = _make(out_data, (a,), backward)
     return out
+
+
+def ste_round(a: Tensor) -> Tensor:
+    """Round in the forward pass, identity in the backward pass."""
+    return straight_through(a, np.round(a.data))
 
 
 def project_ste(a: Tensor,
@@ -413,12 +445,94 @@ def project_ste(a: Tensor,
     out_data = np.asarray(projection(a.data), dtype=np.float32)
     if out_data.shape != a.data.shape:
         raise ValueError("projection must preserve the shape")
+    return straight_through(a, out_data)
+
+
+# ----------------------------------------------------------------------
+# batch normalization
+# ----------------------------------------------------------------------
+# One node per call.  Forward and backward make the numpy calls of the
+# graph composed from the elementary ops above (the oracles in
+# ``tests/oracles/nn_kernels.py``), in the same order and on arrays of
+# the same layouts, so every float is bit-identical to it: reductions
+# run through the same ``sum`` calls, and each gradient that the
+# composed graph held as a tensor's ``.grad`` is C-ordered here too.
+_BN_AXES = (0, 2, 3)
+
+
+def _reduce_to_channels(param: Tensor, grad: np.ndarray) -> None:
+    """Accumulate the per-channel sum of an (N, C, H, W) ``grad`` into
+    the (C,) ``param``."""
+    reduced = _unbroadcast(grad, (1, param.size, 1, 1))
+    param._accumulate(reduced.reshape(param.shape), alias=reduced is grad)
+
+
+def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
+               eps: float) -> Tuple[Tensor, np.ndarray, np.ndarray]:
+    """Training-mode batch normalization of (N, C, H, W) ``x`` over
+    (N, H, W) per channel.
+
+    Returns the output and the batch mean and (biased) variance, both
+    (1, C, 1, 1).
+    """
+    shape = (1, x.shape[1], 1, 1)
+    rcount = np.float32(1.0 / (x.size // x.shape[1]))
+    mean = x.data.sum(axis=_BN_AXES, keepdims=True) * rcount
+    centered = x.data - mean
+    var = (centered * centered).sum(axis=_BN_AXES, keepdims=True) * rcount
+    shifted = var + np.float32(eps)
+    inv = shifted ** -0.5
+    xhat = centered * inv
+    scale = gamma.data.reshape(shape)
+    out_data = xhat * scale + beta.data.reshape(shape)
 
     def backward():
-        if a.requires_grad:
-            a._accumulate(out.grad)
+        grad = out.grad
+        if beta.requires_grad:
+            _reduce_to_channels(beta, grad)
+        if gamma.requires_grad:
+            _reduce_to_channels(gamma, grad * xhat)
+        if not x.requires_grad:
+            return
+        dxhat = grad * scale
+        # ``centered`` collects its gradient from ``xhat`` first, then
+        # twice (once per factor) from ``centered * centered``.
+        dcentered = dxhat * inv
+        dinv = _unbroadcast(dxhat * centered, shape)
+        del dxhat
+        dshifted = dinv * -0.5 * shifted ** -1.5
+        dsquares = np.broadcast_to(dshifted * rcount, x.shape)
+        term = dsquares * centered
+        dcentered += term
+        dcentered += term
+        del term
+        dmean = _unbroadcast(-dcentered, shape)
+        x._accumulate(dcentered)
+        x._accumulate(np.broadcast_to(dmean * rcount, x.shape), alias=True)
 
-    out = _make(out_data, (a,), backward)
+    out = _make(out_data, (x, gamma, beta), backward)
+    return out, mean, var
+
+
+def batch_norm_eval(x: Tensor, gamma: Tensor, beta: Tensor,
+                    mean: np.ndarray, inv_std: np.ndarray) -> Tensor:
+    """Batch normalization of (N, C, H, W) ``x`` by fixed (1, C, 1, 1)
+    statistics: ``(x - mean) * inv_std * gamma + beta``."""
+    shape = mean.shape
+    xhat = (x.data - mean) * inv_std
+    scale = gamma.data.reshape(shape)
+    out_data = xhat * scale + beta.data.reshape(shape)
+
+    def backward():
+        grad = out.grad
+        if beta.requires_grad:
+            _reduce_to_channels(beta, grad)
+        if gamma.requires_grad:
+            _reduce_to_channels(gamma, grad * xhat)
+        if x.requires_grad:
+            x._accumulate(grad * scale * inv_std)
+
+    out = _make(out_data, (x, gamma, beta), backward)
     return out
 
 

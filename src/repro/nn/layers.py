@@ -17,6 +17,7 @@ from repro.nn import autograd as ag
 from repro.nn.autograd import Tensor
 from repro.nn.quant import (
     QuantConfig,
+    fake_quantize,
     fake_quantize_ste,
     to_codes,
     weight_scale,
@@ -378,25 +379,16 @@ class BatchNorm2d(Module):
             raise ValueError(
                 f"BatchNorm2d({self.channels}) got input {x.shape}"
             )
-        if self.training:
-            mean = x.mean(axis=(0, 2, 3), keepdims=True)
-            centered = x - mean
-            var = (centered * centered).mean(axis=(0, 2, 3), keepdims=True)
-            m = self.momentum
-            self.running_mean = ((1 - m) * self.running_mean
-                                 + m * mean.data.ravel())
-            self.running_var = ((1 - m) * self.running_var
-                                + m * var.data.ravel())
-            xhat = centered * ((var + self.eps) ** -0.5)
-        else:
-            mean = Tensor(self.running_mean.reshape(1, -1, 1, 1))
-            std_inv = Tensor(
-                1.0 / np.sqrt(self.running_var + self.eps)
-            ).reshape(1, -1, 1, 1)
-            xhat = (x - mean) * std_inv
-        gamma = self.gamma.reshape(1, -1, 1, 1)
-        beta = self.beta.reshape(1, -1, 1, 1)
-        return xhat * gamma + beta
+        if not self.training:
+            inv_std = 1.0 / np.sqrt(self.running_var + self.eps)
+            return ag.batch_norm_eval(x, self.gamma, self.beta,
+                                      self.running_mean.reshape(1, -1, 1, 1),
+                                      inv_std.reshape(1, -1, 1, 1))
+        out, mean, var = ag.batch_norm(x, self.gamma, self.beta, self.eps)
+        m = self.momentum
+        self.running_mean = (1 - m) * self.running_mean + m * mean.ravel()
+        self.running_var = (1 - m) * self.running_var + m * var.ravel()
+        return out
 
 
 class QuantReLU(Module):
@@ -434,27 +426,32 @@ class QuantReLU(Module):
         return self.running_max / qmax
 
     def forward(self, x: Tensor) -> Tensor:
-        y = ag.relu6(x) if self.six else ag.relu(x)
+        # One node: the clamp, then fake quantization or the activation
+        # filter.  The gradient passes the clamp where 0 <= x <= high,
+        # and there the clamped value is x; the quantizer passes it
+        # where that value lies in [qmin, qmax] * scale, whose low end is
+        # negative.  So one 0/1 mask, 0 <= x <= min(high, qmax * scale),
+        # gives the bits of the two masks applied in turn: a product
+        # with 1 is exact and one with 0 keeps the gradient's sign.
+        high = 6.0 if self.six else None
+        y = np.clip(x.data, 0.0, high)
         if not self.quant.enabled:
-            return y
+            return ag.straight_through(x, y, 0.0, high)
         if self.training:
-            self._update_range(y.data)
+            self._update_range(y)
         qmax = self.quant.act_qmax
         qmin = -(qmax + 1)
         scale = self.scale
         if self.activation_filter is None:
-            out = fake_quantize_ste(y, scale, qmin, qmax)
+            out_data = fake_quantize(y, scale, qmin, qmax)
+            if high is None or qmax * scale < high:
+                high = qmax * scale
         else:
-            act_filter = self.activation_filter
-
-            def project(values: np.ndarray) -> np.ndarray:
-                codes = to_codes(values, scale, qmin, qmax)
-                return act_filter(codes) * scale
-
-            out = ag.project_ste(y, project)
+            codes = self.activation_filter(to_codes(y, scale, qmin, qmax))
+            out_data = np.asarray(codes * scale, dtype=np.float32)
         if self.capture_codes:
-            self.last_codes = to_codes(out.data, scale, qmin, qmax)
-        return out
+            self.last_codes = to_codes(out_data, scale, qmin, qmax)
+        return ag.straight_through(x, out_data, 0.0, high)
 
 
 class MaxPool2d(Module):

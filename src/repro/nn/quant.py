@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.nn.autograd import Tensor, _make
+from repro.nn.autograd import Tensor, straight_through
 
 
 @dataclass(frozen=True)
@@ -51,6 +51,16 @@ def weight_scale(weight_data: np.ndarray, qmax: int) -> float:
     return peak / qmax
 
 
+def fake_quantize(values: np.ndarray, scale: float, qmin: int,
+                  qmax: int) -> np.ndarray:
+    """Quantize-dequantize: ``values`` rounded onto the ``scale`` grid,
+    saturating at codes ``qmin`` and ``qmax``."""
+    if scale <= 0:
+        raise ValueError("quantization scale must be positive")
+    codes = np.clip(np.round(values / scale), qmin, qmax)
+    return (codes * scale).astype(np.float32)
+
+
 def fake_quantize_ste(x: Tensor, scale: float, qmin: int,
                       qmax: int) -> Tensor:
     """Quantize-dequantize forward, clipped straight-through backward.
@@ -59,18 +69,8 @@ def fake_quantize_ste(x: Tensor, scale: float, qmin: int,
     no gradient (the standard clipped STE), everything else passes the
     gradient unchanged.
     """
-    if scale <= 0:
-        raise ValueError("quantization scale must be positive")
-    codes = np.clip(np.round(x.data / scale), qmin, qmax)
-    out_data = (codes * scale).astype(np.float32)
-
-    def backward():
-        if x.requires_grad:
-            inside = (x.data >= qmin * scale) & (x.data <= qmax * scale)
-            x._accumulate(out.grad * inside)
-
-    out = _make(out_data, (x,), backward)
-    return out
+    return straight_through(x, fake_quantize(x.data, scale, qmin, qmax),
+                            qmin * scale, qmax * scale)
 
 
 def to_codes(values: np.ndarray, scale: float, qmin: int,

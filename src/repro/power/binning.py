@@ -79,45 +79,72 @@ class PartialSumBinner:
             seeds = observed[: self.n_bins]
         centroids = int_to_bits(seeds, self.bits).astype(np.float64)
         counts = np.ones(self.n_bins, dtype=np.int64)
-        exemplars: List[List[int]] = [[int(s)] for s in seeds]
+        # Exemplars as (bin, value) picks in the order they were made;
+        # a stable sort by bin at the end lists each bin's in that order.
+        pick_bins = [np.arange(self.n_bins)]
+        pick_values = [seeds]
+        picked = np.ones(self.n_bins, dtype=np.int64)
 
         for start in range(0, observed.size, chunk):
             values = observed[start:start + chunk]
-            bits = int_to_bits(values, self.bits).astype(np.float64)
-            assigned = self._nearest_bins(bits, centroids)
-            for b in range(self.n_bins):
-                members = bits[assigned == b]
-                if not members.size:
-                    continue
-                m = members.shape[0]
-                centroids[b] = (
-                    centroids[b] * counts[b] + members.sum(axis=0)
-                ) / (counts[b] + m)
-                counts[b] += m
-                room = self.exemplars_per_bin - len(exemplars[b])
-                if room > 0:
-                    chosen = values[assigned == b][:room]
-                    exemplars[b].extend(int(v) for v in chosen)
+            distinct, inverse, multiplicity = np.unique(
+                values, return_inverse=True, return_counts=True)
+            nearest = self._nearest_distinct(distinct, values.size,
+                                             centroids)
+            assigned = nearest[inverse]
+            # Bits are 0/1, so the members' bit sums are exact integers,
+            # whatever order they are added in.
+            sums = np.zeros((self.n_bins, self.bits), dtype=np.int64)
+            np.add.at(sums, nearest,
+                      int_to_bits(distinct, self.bits) * multiplicity[:, None])
+            joined = np.bincount(assigned, minlength=self.n_bins)
+            hit = joined > 0
+            centroids[hit] = (
+                centroids[hit] * counts[hit, None] + sums[hit]
+            ) / (counts[hit] + joined[hit])[:, None]
+            counts += joined
+            room = self.exemplars_per_bin - picked
+            if (room > 0).any():
+                # Each bin's first ``room`` members, in stream order.
+                order = np.argsort(assigned, kind="stable")
+                ranked = assigned[order]
+                rank = (np.arange(order.size)
+                        - np.searchsorted(ranked, ranked))
+                keep = rank < room[ranked]
+                pick_bins.append(ranked[keep])
+                pick_values.append(values[order[keep]])
+                picked += np.bincount(ranked[keep], minlength=self.n_bins)
 
+        bins = np.concatenate(pick_bins)
+        members = np.concatenate(pick_values)[np.argsort(bins, kind="stable")]
         self._centroids = centroids
         self._counts = counts
-        self._exemplars = [np.asarray(e, dtype=np.int64) for e in exemplars]
+        self._exemplars = np.split(members, np.cumsum(picked)[:-1])
         self._exemplar_matrix = None
         self._exemplar_sizes = None
         return self
 
-    @staticmethod
-    def _nearest_bins(bits: np.ndarray,
-                      centroids: np.ndarray) -> np.ndarray:
-        """Closest bin per bit vector, by expected Hamming distance.
+    def _nearest_distinct(self, distinct: np.ndarray, n_values: int,
+                          centroids: np.ndarray) -> np.ndarray:
+        """Closest bin of each of the sorted ``distinct`` values of an
+        ``n_values``-long batch, by expected Hamming distance.
 
         For 0/1 bits the expected Hamming distance to a centroid ``c`` is
-        ``sum(c) + bits @ (1 - 2c)``, which turns the whole assignment
-        into one matmul instead of a dense 3-D broadcast.
+        ``sum(c) + bits @ (1 - 2c)``: one matmul row per distinct value.
+        A row's distances come out the same bits whatever the other
+        rows of a product (checked with OpenBLAS from 2 to 65 536 rows),
+        but numpy hands a one-row product to the matrix-vector routine,
+        which rounds differently.  So a batch of several copies of one
+        value keeps two rows, and a batch of one value keeps one, as
+        the product over every observation had.
         """
-        offsets = centroids.sum(axis=1)  # (n_bins,)
-        distance = offsets[None, :] + bits @ (1.0 - 2.0 * centroids.T)
-        return distance.argmin(axis=1)
+        rows = distinct
+        if distinct.size == 1 and n_values > 1:
+            rows = np.repeat(distinct, 2)
+        bits = int_to_bits(rows, self.bits).astype(np.float64)
+        distance = (centroids.sum(axis=1)[None, :]
+                    + bits @ (1.0 - 2.0 * centroids.T))
+        return distance.argmin(axis=1)[:distinct.size]
 
     @property
     def fitted(self) -> bool:
@@ -134,9 +161,10 @@ class PartialSumBinner:
         """Bin index of each value (nearest centroid in mean bit diff)."""
         self._require_fit()
         values = np.asarray(values, dtype=np.int64)
-        bits = int_to_bits(values.ravel(), self.bits).astype(np.float64)
-        assigned = self._nearest_bins(bits, self._centroids)
-        return assigned.reshape(values.shape)
+        distinct, inverse = np.unique(values, return_inverse=True)
+        nearest = self._nearest_distinct(distinct, values.size,
+                                         self._centroids)
+        return nearest[inverse.reshape(values.shape)]
 
     def sample_members(self, bin_ids: np.ndarray,
                        rng: Optional[np.random.Generator] = None

@@ -3,10 +3,16 @@
 ``conv2d`` and ``depthwise_conv2d`` are the ``np.einsum(...,
 optimize=True)`` convolutions (numpy 2.4's einsum contracts each pair of
 operands through ``matmul``), and :func:`nearest_allowed` is the
-``searchsorted`` restriction projector.  The production kernels must
+``searchsorted`` restriction projector.  :func:`batch_norm_forward` and
+:func:`quant_relu_forward` are ``BatchNorm2d`` and ``QuantReLU`` composed
+from elementary autograd nodes (about a dozen per batch norm in
+training, two per activation), and :func:`copying_accumulate` is the
+gradient accumulation that copies every first gradient;
+:func:`composed_layers` swaps all three in.  The production kernels must
 match them bit for bit: same values, same dtype and the same memory
 layout of every array that later operations reduce over.
-:func:`traced_conv_layers` lists the real layers to compare them on.
+:func:`traced_conv_layers` and :func:`traced_norm_layers` list the real
+layers to compare them on.
 
 The convolution bits depend on how einsum hands its operands to
 ``matmul`` and on the BLAS build, so bit identity is asserted only in
@@ -17,13 +23,16 @@ Elsewhere :func:`assert_matches` compares values to float rounding.
 
 from __future__ import annotations
 
+import contextlib
 import platform
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.nn import autograd as ag
+from repro.nn import layers
 from repro.nn.autograd import Tensor, _make
+from repro.nn.quant import to_codes
 
 
 def _blas_name() -> str:
@@ -58,32 +67,19 @@ Layer = Tuple[str, Tuple[int, ...], Tuple[int, ...], int, int, bool,
               Tuple[int, ...]]
 
 
-def traced_conv_layers(scales=("smoke", "ci")) -> List[Layer]:
-    """Every distinct conv and depthwise call of the four networks.
+def _memory_order(values: np.ndarray) -> Tuple[int, ...]:
+    """The axes of ``values`` from the outermost in memory inwards."""
+    return tuple(int(a) for a in
+                 np.argsort(values.strides, kind="stable")[::-1])
 
-    Traced from a forward pass of each network at each scale, so the
-    input layouts are the ones the pipeline feeds: NCHW for the first
-    layer, the layout of the previous convolution's output after it.
-    """
+
+def _forward_networks(scales, act_filters=(None,)) -> None:
+    """One forward pass of each of the four networks at each scale on
+    two zero images, once per activation filter."""
     from repro.experiments.config import NETWORK_SPECS, SCALES
     from repro.models.registry import build_model
-    from repro.nn import layers
-
-    calls = set()
-    kernels = {"conv2d": ag.conv2d, "depthwise": ag.depthwise_conv2d}
-
-    def recorder(kind):
-        def record(x, weight, bias=None, stride=1, pad=0):
-            order = tuple(int(a) for a in
-                          np.argsort(x.data.strides, kind="stable")[::-1])
-            calls.add((kind, x.shape[1:], weight.shape, stride, pad,
-                       bias is not None, order))
-            return kernels[kind](x, weight, bias, stride=stride, pad=pad)
-        return record
 
     init_rng = layers._INIT_RNG
-    ag.conv2d, ag.depthwise_conv2d = (recorder("conv2d"),
-                                      recorder("depthwise"))
     try:
         for scale in scales:
             for spec in NETWORK_SPECS:
@@ -91,11 +87,75 @@ def traced_conv_layers(scales=("smoke", "ci")) -> List[Layer]:
                 model = build_model(spec.network, spec.num_classes,
                                     SCALES[scale].width_mult,
                                     SCALES[scale].depth_mult)
-                with ag.no_grad():
-                    model(Tensor(np.zeros((2, 3, 32, 32), np.float32)))
+                for act_filter in act_filters:
+                    model.set_activation_filter(act_filter)
+                    with ag.no_grad():
+                        model(Tensor(np.zeros((2, 3, 32, 32), np.float32)))
+    finally:
+        layers._INIT_RNG = init_rng
+
+
+def traced_conv_layers(scales=("smoke", "ci")) -> List[Layer]:
+    """Every distinct conv and depthwise call of the four networks.
+
+    Traced from a forward pass of each network at each scale, so the
+    input layouts are the ones the pipeline feeds: NCHW for the first
+    layer, the layout of the previous convolution's output after it.
+    """
+    calls = set()
+    kernels = {"conv2d": ag.conv2d, "depthwise": ag.depthwise_conv2d}
+
+    def recorder(kind):
+        def record(x, weight, bias=None, stride=1, pad=0):
+            calls.add((kind, x.shape[1:], weight.shape, stride, pad,
+                       bias is not None, _memory_order(x.data)))
+            return kernels[kind](x, weight, bias, stride=stride, pad=pad)
+        return record
+
+    ag.conv2d, ag.depthwise_conv2d = (recorder("conv2d"),
+                                      recorder("depthwise"))
+    try:
+        _forward_networks(scales)
     finally:
         ag.conv2d, ag.depthwise_conv2d = kernels.values()
-        layers._INIT_RNG = init_rng
+    return sorted(calls, key=repr)
+
+
+#: (kind, input shape without the batch axis, memory order of the input
+#: axes, outermost first, relu6): ``kind`` is ``"batchnorm"`` or
+#: ``"quantrelu"``; ``relu6`` is False for batch norms.
+NormLayer = Tuple[str, Tuple[int, ...], Tuple[int, ...], bool]
+
+
+def traced_norm_layers(scales=("smoke", "ci")) -> List[NormLayer]:
+    """Every distinct ``BatchNorm2d`` and ``QuantReLU`` call of the four
+    networks, traced like :func:`traced_conv_layers`.
+
+    Each network runs forward twice, without and with an activation
+    filter: a filtered activation is C-ordered where a quantized one
+    keeps its input's layout, which changes the layout of the residual
+    sums that later layers see.
+    """
+    from repro.nn.restrict import ActivationFilter
+
+    calls = set()
+    forwards = {"batchnorm": layers.BatchNorm2d.forward,
+                "quantrelu": layers.QuantReLU.forward}
+
+    def recorder(kind):
+        def record(module, x):
+            six = kind == "quantrelu" and module.six
+            calls.add((kind, x.shape[1:], _memory_order(x.data), six))
+            return forwards[kind](module, x)
+        return record
+
+    layers.BatchNorm2d.forward = recorder("batchnorm")
+    layers.QuantReLU.forward = recorder("quantrelu")
+    try:
+        _forward_networks(scales, (None, ActivationFilter([0, 5, 9])))
+    finally:
+        layers.BatchNorm2d.forward = forwards["batchnorm"]
+        layers.QuantReLU.forward = forwards["quantrelu"]
     return sorted(calls, key=repr)
 
 
@@ -209,3 +269,98 @@ def depthwise_conv2d(x: Tensor, weight: Tensor,
     parents = (x, weight) if bias is None else (x, weight, bias)
     out = _make(out_data, parents, backward)
     return out
+
+
+# ----------------------------------------------------------------------
+# composed batch norm and activation
+# ----------------------------------------------------------------------
+def copying_accumulate(self: Tensor, grad: np.ndarray,
+                       alias: bool = False) -> None:
+    """``Tensor._accumulate`` that copies every first gradient."""
+    grad = grad.astype(np.float32, copy=False)
+    if self.grad is None:
+        self.grad = grad.copy()
+    else:
+        self.grad += grad
+
+
+def batch_norm_forward(bn: "layers.BatchNorm2d", x: Tensor) -> Tensor:
+    """``BatchNorm2d.forward`` composed from elementary nodes."""
+    if bn.training:
+        mean = x.mean(axis=(0, 2, 3), keepdims=True)
+        centered = x - mean
+        var = (centered * centered).mean(axis=(0, 2, 3), keepdims=True)
+        m = bn.momentum
+        bn.running_mean = ((1 - m) * bn.running_mean
+                           + m * mean.data.ravel())
+        bn.running_var = ((1 - m) * bn.running_var
+                          + m * var.data.ravel())
+        xhat = centered * ((var + bn.eps) ** -0.5)
+    else:
+        mean = Tensor(bn.running_mean.reshape(1, -1, 1, 1))
+        std_inv = Tensor(
+            1.0 / np.sqrt(bn.running_var + bn.eps)
+        ).reshape(1, -1, 1, 1)
+        xhat = (x - mean) * std_inv
+    gamma = bn.gamma.reshape(1, -1, 1, 1)
+    beta = bn.beta.reshape(1, -1, 1, 1)
+    return xhat * gamma + beta
+
+
+def _fake_quantize_ste(x: Tensor, scale: float, qmin: int,
+                       qmax: int) -> Tensor:
+    """Fake quantization node whose backward builds its mask."""
+    codes = np.clip(np.round(x.data / scale), qmin, qmax)
+    out_data = (codes * scale).astype(np.float32)
+
+    def backward():
+        if x.requires_grad:
+            inside = (x.data >= qmin * scale) & (x.data <= qmax * scale)
+            x._accumulate(out.grad * inside)
+
+    out = _make(out_data, (x,), backward)
+    return out
+
+
+def quant_relu_forward(act: "layers.QuantReLU", x: Tensor) -> Tensor:
+    """``QuantReLU.forward`` as a clamp node, then a fake-quantization or
+    projection node."""
+    y = ag.relu6(x) if act.six else ag.relu(x)
+    if not act.quant.enabled:
+        return y
+    if act.training:
+        act._update_range(y.data)
+    qmax = act.quant.act_qmax
+    qmin = -(qmax + 1)
+    scale = act.scale
+    if act.activation_filter is None:
+        out = _fake_quantize_ste(y, scale, qmin, qmax)
+    else:
+        act_filter = act.activation_filter
+
+        def project(values: np.ndarray) -> np.ndarray:
+            codes = to_codes(values, scale, qmin, qmax)
+            return act_filter(codes) * scale
+
+        out = ag.project_ste(y, project)
+    if act.capture_codes:
+        act.last_codes = to_codes(out.data, scale, qmin, qmax)
+    return out
+
+
+@contextlib.contextmanager
+def composed_layers() -> Iterator[None]:
+    """Inside the block, run ``BatchNorm2d`` and ``QuantReLU`` as
+    composed graphs, quantize weights with the node that builds its mask
+    in backward, and accumulate gradients by copying."""
+    saved = (layers.BatchNorm2d.forward, layers.QuantReLU.forward,
+             layers.fake_quantize_ste, Tensor._accumulate)
+    layers.BatchNorm2d.forward = batch_norm_forward
+    layers.QuantReLU.forward = quant_relu_forward
+    layers.fake_quantize_ste = _fake_quantize_ste
+    Tensor._accumulate = copying_accumulate
+    try:
+        yield
+    finally:
+        (layers.BatchNorm2d.forward, layers.QuantReLU.forward,
+         layers.fake_quantize_ste, Tensor._accumulate) = saved

@@ -287,3 +287,31 @@ class TestEngineSemantics:
         with pytest.raises(RuntimeError, match="freed"):
             (hidden * 3.0).sum().backward()
         np.testing.assert_allclose(x.grad, [2.0, 2.0])
+
+    def test_first_gradient_is_taken_or_copied_in_c_order(self):
+        """A fresh C-contiguous gradient becomes ``.grad`` as it is; an
+        alias of another array, and any other layout, is copied, so
+        every ``.grad`` is C-ordered and shared with nothing."""
+        fresh = np.ones((2, 3), np.float32)
+        taken = Tensor(np.zeros((2, 3)), requires_grad=True)
+        taken._accumulate(fresh)
+        assert taken.grad is fresh
+        for grad, alias in ((fresh, True), (np.ones((3, 2), np.float32).T,
+                                            False)):
+            copied = Tensor(np.zeros((2, 3)), requires_grad=True)
+            copied._accumulate(grad, alias=alias)
+            assert copied.grad is not grad
+            assert copied.grad.flags.c_contiguous
+            np.testing.assert_array_equal(copied.grad, grad)
+
+    def test_passed_through_gradients_share_no_memory(self):
+        """The add below hands its own gradient to both operands, which
+        are one tensor: it must be copied, not adopted and then added
+        into."""
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        y = x.reshape(3, 2)
+        z = y + y
+        (z * 3.0).sum().backward()
+        np.testing.assert_array_equal(z.grad, np.full((3, 2), 3.0))
+        np.testing.assert_array_equal(y.grad, np.full((3, 2), 6.0))
+        np.testing.assert_array_equal(x.grad, np.full((2, 3), 6.0))

@@ -7,7 +7,10 @@ later reductions (batch-norm means, gradient sums) walk memory in layout
 order; a kernel with the right values in another layout changes the
 rounding downstream and with it the whole training run.  The restriction
 projector must likewise return the ``searchsorted`` oracle's codes in
-C order.
+C order.  The one-node ``BatchNorm2d`` and ``QuantReLU`` must reproduce
+the graphs composed from elementary nodes: outputs, input and parameter
+gradients and running statistics; and whole models trained with either
+must end in the same state.
 
 The layer shapes and input layouts are traced from a forward pass of
 all four networks at each scale, and every layer runs at each batch
@@ -19,6 +22,7 @@ environments the convolutions are compared to float rounding instead
 (``oracles.nn_kernels.BIT_EXACT``).
 """
 
+import contextlib
 import inspect
 
 import numpy as np
@@ -28,11 +32,13 @@ from hypothesis import strategies as st
 
 from oracles import nn_kernels as oracle
 from repro.core.pipeline import PipelineConfig
-from repro.experiments.config import SCALES
+from repro.experiments.config import NETWORK_SPECS, SCALES
+from repro.models.registry import build_model
 from repro.nn import autograd as ag
+from repro.nn import layers
 from repro.nn.autograd import Tensor
 from repro.nn.restrict import ActivationFilter, WeightRestriction
-from repro.nn.trainer import Trainer
+from repro.nn.trainer import Trainer, TrainingConfig
 
 #: A small batch, checked forward and backward.  The power and
 #: accelerator traces run one zero image but read only layer shapes
@@ -227,3 +233,204 @@ def test_projector_codes_outside_8_bit_range():
 def test_projector_rejects_non_integer_codes(dtype):
     with pytest.raises(TypeError, match=np.dtype(dtype).name):
         WeightRestriction([0, 1])(np.zeros(3, dtype=dtype))
+
+
+# ----------------------------------------------------------------------
+# batch norm and quantized activation
+# ----------------------------------------------------------------------
+#: The activation filter of the filtered cases.
+FILTER = (0, 3, 7, 12, 30, 64, 127)
+
+
+def _norm_cases():
+    """(layer, batch, train, filtered) cases of the traced ``BatchNorm2d``
+    and ``QuantReLU`` calls.
+
+    Training-mode batch norm reduces over (N, H, W) in layout order, so
+    its bits depend on the shape: every traced batch norm runs at every
+    batch size trained at its scale, forward and backward.  Everything
+    else (eval-mode batch norm, the activation's clamp, quantizer,
+    filter and masks, the running maximum) rounds each element alone,
+    whatever the shape, so one input per layout stands for the layers
+    that share it, at every batch size the pipeline feeds, trained up
+    to the training batch and otherwise run forward in eval mode.
+    """
+    trained, traced, every_batch = set(), set(), set()
+    for scale in SCALES:
+        batches = pipeline_batches(scale)
+        every_batch.update(batches)
+        for layer in oracle.traced_norm_layers((scale,)):
+            traced.add(layer)
+            if layer[0] == "batchnorm":
+                trained.update((layer, batch)
+                               for batch, backward in batches.items()
+                               if backward)
+    representatives = {}
+    for layer in traced:
+        kind, shape, order, six = layer
+        key = (kind, len(shape), order, six)
+        if key not in representatives or \
+                np.prod(shape) < np.prod(representatives[key][1]):
+            representatives[key] = layer
+    train = PipelineConfig().batch_size
+    cases = [(layer, batch, True, False)
+             for (layer, batch) in sorted(trained, key=repr)]
+    for layer in sorted(representatives.values(), key=repr):
+        filters = (False, True) if layer[0] == "quantrelu" else (False,)
+        for batch in sorted(every_batch):
+            if layer[0] == "batchnorm" and batch <= train:
+                continue  # trained above
+            for filtered in filters:
+                cases.append((layer, batch, batch <= train, filtered))
+    return cases
+
+
+NORM_CASES = _norm_cases()
+
+
+def _norm_id(case):
+    (kind, shape, order, six), batch, train, filtered = case
+    name = "relu6" if six else "relu" if kind == "quantrelu" else "bn"
+    layout = "".join("NCHW"[a] if len(order) == 4 else "NF"[a]
+                     for a in order)
+    return (f"{name}-{'x'.join(map(str, shape))}-{layout}-n{batch}"
+            f"{'' if train else '-eval'}{'-filter' if filtered else ''}")
+
+
+def _norm_module(layer, rng):
+    kind, shape, __, six = layer
+    if kind == "batchnorm":
+        module = layers.BatchNorm2d(shape[0])
+        module.gamma.data = rng.normal(1, 0.2, shape[0]).astype(np.float32)
+        module.beta.data = rng.normal(0, 0.2, shape[0]).astype(np.float32)
+        module.running_mean = rng.normal(0, 0.5, shape[0]) \
+            .astype(np.float32)
+        module.running_var = rng.uniform(0.5, 2, shape[0]) \
+            .astype(np.float32)
+    else:
+        module = layers.QuantReLU(six=six)
+        module.running_max = 4.0
+    return module
+
+
+def _run_norm(layer, batch, train, filtered, composed, grad_in_eval=False):
+    """One forward (and backward when training) of a fresh module on
+    seeded inputs; every resulting array and statistic."""
+    kind, shape, order, __ = layer
+    rng = np.random.default_rng([batch, *shape, *order])
+    x_data = oracle.in_layout(
+        rng.normal(0.5, 2.0, (batch, *shape)).astype(np.float32), order)
+    grad = rng.standard_normal((batch, *shape), dtype=np.float32)
+    module = _norm_module(layer, rng)
+    module.train(train)
+    if filtered:
+        module.activation_filter = ActivationFilter(FILTER)
+    backward = train or grad_in_eval
+    x = Tensor(x_data, requires_grad=backward)
+    with oracle.composed_layers() if composed else contextlib.nullcontext():
+        out = module(x)
+        if backward:
+            (out * Tensor(grad)).sum().backward()
+    arrays = {"forward": out.data}
+    if backward:
+        arrays["dX"] = x.grad
+    if kind == "batchnorm":
+        if backward:
+            arrays["dgamma"] = module.gamma.grad
+            arrays["dbeta"] = module.beta.grad
+        arrays["running_mean"] = module.running_mean
+        arrays["running_var"] = module.running_var
+    else:
+        arrays["running_max"] = np.float64(module.running_max)
+    return arrays
+
+
+@pytest.mark.parametrize("layer, batch, train, filtered", NORM_CASES,
+                         ids=map(_norm_id, NORM_CASES))
+def test_norm_layer_matches_composed_oracle(layer, batch, train, filtered):
+    want = _run_norm(layer, batch, train, filtered, composed=True)
+    got = _run_norm(layer, batch, train, filtered, composed=False)
+    assert got.keys() == want.keys()
+    for name in want:
+        oracle.assert_matches(got[name], want[name])
+
+
+def test_norm_cases_cover_the_networks():
+    traced = {case[0] for case in NORM_CASES}
+    kinds = {(layer[0], layer[3]) for layer in traced}
+    assert kinds == {("batchnorm", False), ("quantrelu", False),
+                     ("quantrelu", True)}
+    orders = {layer[2] for layer in traced}
+    # channels-last convolution outputs, channel-major depthwise
+    # outputs, C-ordered filtered activations and the dense layers
+    assert {(0, 2, 3, 1), (1, 0, 2, 3), (0, 1, 2, 3), (0, 1)} <= orders
+    assert {(case[2], case[3]) for case in NORM_CASES
+            if case[0][0] == "quantrelu"} == {(True, False), (True, True),
+                                              (False, False), (False, True)}
+    assert any(not case[2] for case in NORM_CASES
+               if case[0][0] == "batchnorm")
+
+
+def test_eval_batch_norm_passes_gradients():
+    layer = ("batchnorm", (6, 5, 5), (0, 2, 3, 1), False)
+    want = _run_norm(layer, 4, False, False, composed=True,
+                     grad_in_eval=True)
+    got = _run_norm(layer, 4, False, False, composed=False,
+                    grad_in_eval=True)
+    assert {"dX", "dgamma", "dbeta"} <= got.keys()
+    assert np.abs(got["dX"]).sum() > 0
+    for name in want:
+        oracle.assert_matches(got[name], want[name])
+
+
+#: Networks trained whole against the composed layers: batch norm with
+#: and without residual sums, relu and relu6 activations, dense layers.
+WHOLE_MODELS = ("resnet20", "lenet5", "efficientnet-b0-lite")
+
+
+def _train_whole(network, composed):
+    """A few SGD steps of ``network`` at smoke width, the last two with
+    a weight restriction and an activation filter installed, then an
+    eval-mode forward; the losses and the final state."""
+    spec = next(s for s in NETWORK_SPECS if s.network == network)
+    scale = SCALES["smoke"]
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((12, 3, 32, 32), dtype=np.float32)
+    y = rng.integers(0, spec.num_classes, 12)
+    with oracle.composed_layers() if composed else contextlib.nullcontext():
+        layers.seed_init(0)
+        model = build_model(network, spec.num_classes, scale.width_mult,
+                            scale.depth_mult)
+        trainer = Trainer(model, TrainingConfig(lr=0.05))
+        losses = [trainer._step(x[:8], y[:8])[0],
+                  trainer._step(x[4:], y[4:])[0]]
+        model.set_weight_restriction(
+            WeightRestriction(list(range(-127, 128, 5)) + [0]))
+        model.set_activation_filter(ActivationFilter(FILTER))
+        losses += [trainer._step(x[:8], y[:8])[0],
+                   trainer._step(x[2:10], y[2:10])[0]]
+        model.eval()
+        with ag.no_grad():
+            logits = model(Tensor(x)).data
+    return np.array(losses), logits, model.state_dict()
+
+
+@pytest.mark.parametrize("network", WHOLE_MODELS)
+def test_whole_model_training_matches_composed_layers(network):
+    """Per-layer gates cannot see the order in which gradients from
+    different nodes meet; training whole models with the production
+    layers and with the composed ones must end in the same bytes."""
+    init_rng = layers._INIT_RNG
+    try:
+        want = _train_whole(network, composed=True)
+        got = _train_whole(network, composed=False)
+    finally:
+        layers._INIT_RNG = init_rng
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+    assert got[2].keys() == want[2].keys()
+    for key, value in want[2].items():
+        if isinstance(value, np.ndarray):
+            assert got[2][key].tobytes() == value.tobytes(), key
+        else:
+            assert got[2][key] == value, key
