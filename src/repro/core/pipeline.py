@@ -44,12 +44,15 @@ CHAR_ANCHOR_WEIGHTS = (-105, -64, -2, -1, 0, 1, 2, 64, 105, 127)
 POWER_PRUNING_GRAPH = build_power_pruning_graph()
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
     """Scale and hyper-parameters of one pipeline run.
 
     The defaults are the CI scale: everything runs on a CPU in about a
     minute per network.  ``paper`` values are noted per field.
+
+    Frozen: a stage runner keys each stage once per config, so a
+    variant is a new config (``dataclasses.replace``), never an edit.
     """
 
     network: str = "lenet5"
@@ -122,18 +125,16 @@ class PipelineConfig:
     def char_weights(self) -> Tuple[int, ...]:
         """Weight values to characterize (stride-reduced at CI scale).
 
-        The result is cached per ``char_weight_step`` — stage-key
-        hashing and repeated characterizations hit the same tuple.
+        The result is cached on the config — stage-key hashing and
+        repeated characterizations hit the same tuple.
         """
-        cached = self.__dict__.get("_char_weights_cache")
-        if cached is not None and cached[0] == self.char_weight_step:
-            return cached[1]
-        weights = set(range(-127, 128, max(1, self.char_weight_step)))
-        weights.update(CHAR_ANCHOR_WEIGHTS)
-        result = tuple(sorted(weights))
-        self.__dict__["_char_weights_cache"] = (self.char_weight_step,
-                                                result)
-        return result
+        cached = self.__dict__.get("_char_weights")
+        if cached is None:
+            weights = set(range(-127, 128, max(1, self.char_weight_step)))
+            weights.update(CHAR_ANCHOR_WEIGHTS)
+            cached = self.__dict__["_char_weights"] = tuple(
+                sorted(weights))
+        return cached
 
 
 class PowerPruner:
@@ -157,11 +158,6 @@ class PowerPruner:
         self.store = store if store is not None else ArtifactStore(
             cache_dir)
         self.artifacts: Dict[str, object] = {}
-        # Shared hardware models, kept as attributes for compatibility.
-        self.library = self.ops.library
-        self.mac = self.ops.mac
-        self.systolic_config = self.ops.systolic_config
-        self.voltage_model = self.ops.voltage_model
 
     def runner(self) -> StageRunner:
         """A stage runner over this pruner's config and store."""

@@ -44,7 +44,8 @@ module from that record.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -246,13 +247,16 @@ class StageRunner:
         self.graph = graph
         self.ops = ops
         self.store = store if store is not None else ArtifactStore()
+        #: Stage keys computed so far.  The config is frozen, so one
+        #: pass over the dependency tree serves every later ``get``.
+        self._keys: Dict[str, str] = {}
 
     @property
     def config(self) -> "PipelineConfig":
         return self.ops.config
 
     def key(self, name: str) -> str:
-        return self.graph.key(name, self.ops.config)
+        return self.graph.key(name, self.ops.config, self._keys)
 
     def get(self, name: str) -> Any:
         """The artifact of ``name``, computing missing prefixes."""
@@ -274,29 +278,36 @@ class PipelineOps:
     """Stateless-ish backend the stage functions run against.
 
     Owns the configuration plus the shared hardware models (cell
-    library, MAC netlist, systolic/voltage models), all resolved from
-    the config's hardware backend (see :mod:`repro.hw`) unless passed
-    explicitly, and provides the operations stages compose.  All
-    randomness is seeded from the config, so every operation is a pure
-    function of its arguments.
+    library, MAC netlist, systolic/voltage models), each built from the
+    config's hardware backend (see :mod:`repro.hw`) on first use, and
+    provides the operations stages compose.  A stage that never reads
+    the netlist (the accelerator branch, any cache hit) never builds
+    it.  All randomness is seeded from the config, so every operation
+    is a pure function of its arguments.
     """
 
-    def __init__(self, config: "PipelineConfig", library=None, mac=None,
-                 systolic_config=None, voltage_model=None) -> None:
+    def __init__(self, config: "PipelineConfig") -> None:
         from repro.hw import DEFAULT_BACKEND_ID, get_backend
 
         self.config = config
-        backend = get_backend(
+        self.backend = get_backend(
             getattr(config, "backend", DEFAULT_BACKEND_ID))
-        self.backend = backend
-        self.library = (library if library is not None
-                        else backend.build_library())
-        self.mac = mac if mac is not None else backend.build_mac()
-        self.systolic_config = (systolic_config if systolic_config
-                                is not None
-                                else backend.build_systolic_config())
-        self.voltage_model = (voltage_model if voltage_model is not None
-                              else backend.build_voltage_model())
+
+    @cached_property
+    def library(self):
+        return self.backend.build_library()
+
+    @cached_property
+    def mac(self):
+        return self.backend.build_mac()
+
+    @cached_property
+    def systolic_config(self):
+        return self.backend.build_systolic_config()
+
+    @cached_property
+    def voltage_model(self):
+        return self.backend.build_voltage_model()
 
     def log(self, message: str) -> None:
         if self.config.verbose:

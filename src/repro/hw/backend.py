@@ -16,7 +16,7 @@ backends that differ in any field can never share a cached artifact.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Dict, Optional, Tuple
 
 #: Styles accepted by :func:`repro.netlist.mac.build_mac_unit`.
@@ -160,6 +160,8 @@ class HardwareBackend:
 
         The full spec (not just the id) participates, so redefining a
         backend id with different parameters also invalidates every
-        artifact produced under the old definition.
+        artifact produced under the old definition.  Every field is a
+        scalar, so a shallow dict is what ``dataclasses.asdict`` would
+        build, without its deep copy.
         """
-        return asdict(self)
+        return {f.name: getattr(self, f.name) for f in fields(self)}

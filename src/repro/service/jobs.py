@@ -18,6 +18,9 @@ Durability and fleet semantics are first-class:
   served as before and interrupted jobs are re-queued and resume from
   the journal (recorded rows replayed, remaining points recomputed
   through the warm cache);
+* only unfinished jobs live in memory: once a job's terminal state is
+  journaled, every query reads it back from the journal, so a
+  long-running service does not grow with the jobs it has served;
 * jobs are claimed through a lease (worker id + heartbeat deadline):
   any number of ``repro serve --worker`` processes pointed at the same
   store drain one queue without double-running a point, and a worker
@@ -358,8 +361,10 @@ class JobManager:
         self.store = JobStore(store_path)
 
         self._lock = threading.Lock()
+        #: Unfinished jobs: submitted here, resumed, or adopted from a
+        #: sibling's journal.  A job leaves once its terminal state is
+        #: journaled (or a sync sees a sibling journal it).
         self._jobs: Dict[str, ExperimentJob] = {}
-        self._order: List[str] = []
         self._queue: "queue.Queue[Optional[str]]" = queue.Queue()
         #: Job id this manager's drain thread is currently running.
         self._active: Optional[str] = None
@@ -371,18 +376,17 @@ class JobManager:
         self._closed = False
         self._stop = threading.Event()
 
-        # Crash recovery: rebuild every journaled job.  Terminal jobs
-        # are served exactly as before the restart; interrupted ones
+        # Crash recovery: terminal jobs are served from the journal
+        # exactly as before the restart; interrupted ones are rebuilt,
         # stay claimable (their dead owner's lease expires) and resume
         # from the journal.
         self.resumed_jobs: List[str] = []
-        for record in self.store.load_jobs():
-            job = self._rebuild_job(record)
-            self._jobs[job.job_id] = job
-            self._order.append(job.job_id)
-            if job.state not in JobState.TERMINAL:
-                self.resumed_jobs.append(job.job_id)
-        self.recovered_jobs = len(self._jobs)
+        records = self.store.load_jobs()
+        for record in records:
+            if record["state"] not in JobState.TERMINAL:
+                self._jobs[record["job_id"]] = self._rebuild_job(record)
+                self.resumed_jobs.append(record["job_id"])
+        self.recovered_jobs = len(records)
 
         self._worker = threading.Thread(target=self._worker_loop,
                                         name="repro-service-worker",
@@ -472,7 +476,6 @@ class JobManager:
             job.knobs())
         with self._lock:
             self._jobs[job.job_id] = job
-            self._order.append(job.job_id)
             self._stats["jobs_submitted"] += 1
         self._queue.put(job.job_id)
         return job.status()
@@ -481,26 +484,25 @@ class JobManager:
     # queries
     # ------------------------------------------------------------------
     def get(self, job_id: str) -> Optional[ExperimentJob]:
-        with self._lock:
-            return self._jobs.get(job_id)
+        """The job ``job_id``; ``None`` if the journal has no such job.
 
-    def _find(self, job_id: str) -> Optional[ExperimentJob]:
-        """Local job, or one adopted from the store (submitted by a
-        sibling node sharing the journal)."""
-        job = self.get(job_id)
+        An unfinished job is the live object, adopted into memory when
+        a sibling node sharing the journal submitted it.  A finished
+        job is rebuilt from the journal on every call and never
+        adopted back.
+        """
+        with self._lock:
+            job = self._jobs.get(job_id)
         if job is not None:
             return job
         record = self.store.load_job(job_id)
         if record is None:
             return None
-        adopted = self._rebuild_job(record)
+        job = self._rebuild_job(record)
+        if job.state in JobState.TERMINAL:
+            return job
         with self._lock:
-            existing = self._jobs.get(job_id)
-            if existing is not None:
-                return existing
-            self._jobs[job_id] = adopted
-            self._order.append(job_id)
-        return adopted
+            return self._jobs.setdefault(job_id, job)
 
     def _sync_from_store(self, job: ExperimentJob) -> None:
         """Refresh a job some *other* worker is (or was) running.
@@ -534,6 +536,7 @@ class JobManager:
             job.precached = max(job.precached, record["precached"])
             job.retries = max(job.retries, record["retries"])
             if job.state in JobState.TERMINAL:
+                self._forget(job)
                 job.finished.set()
 
     def _maybe_sync(self, job: ExperimentJob) -> None:
@@ -541,8 +544,14 @@ class JobManager:
                 and self._active != job.job_id:
             self._sync_from_store(job)
 
+    def _forget(self, job: ExperimentJob) -> None:
+        """Drop a journaled-terminal job from memory; caller holds the
+        lock.  Holders of the object keep a complete, finished job."""
+        if self._jobs.get(job.job_id) is job:
+            del self._jobs[job.job_id]
+
     def status(self, job_id: str) -> Optional[Dict[str, Any]]:
-        job = self._find(job_id)
+        job = self.get(job_id)
         if job is None:
             return None
         self._maybe_sync(job)
@@ -550,14 +559,22 @@ class JobManager:
             return job.status()
 
     def list_jobs(self) -> List[Dict[str, Any]]:
-        """Newest-first summaries of every job the service has seen."""
-        with self._lock:
-            jobs = [self._jobs[job_id]
-                    for job_id in reversed(self._order)]
-        for job in jobs:
-            self._maybe_sync(job)
-        with self._lock:
-            return [job.status() for job in jobs]
+        """Newest-first summaries of every journaled job.
+
+        Jobs held in memory report their live state; the rest are
+        rebuilt from the journal without being adopted.
+        """
+        statuses = []
+        for record in reversed(self.store.load_jobs()):
+            with self._lock:
+                job = self._jobs.get(record["job_id"])
+            if job is None:
+                job = self._rebuild_job(record)
+            else:
+                self._maybe_sync(job)
+            with self._lock:
+                statuses.append(job.status())
+        return statuses
 
     def result(self, job_id: str,
                aggregated: bool = False) -> Optional[Dict[str, Any]]:
@@ -572,7 +589,7 @@ class JobManager:
         *outside* it, so a client downloading a big terminal grid
         never blocks concurrent submits and status polls.
         """
-        job = self._find(job_id)
+        job = self.get(job_id)
         if job is None:
             return None
         self._maybe_sync(job)
@@ -606,7 +623,7 @@ class JobManager:
         unknown id (it never raises).  Jobs run by a sibling worker
         are observed through the shared store.
         """
-        job = self._find(job_id)
+        job = self.get(job_id)
         if job is None:
             return None
         deadline = (None if timeout is None
@@ -625,16 +642,17 @@ class JobManager:
                 return True
 
     def stats(self) -> Dict[str, Any]:
-        """Service-level counters for ``GET /healthz``."""
+        """Service-level counters for ``GET /healthz``.
+
+        ``jobs`` counts every journaled job by state.
+        """
+        by_state = self.store.count_states()
         with self._lock:
-            by_state: Dict[str, int] = {}
-            for job in self._jobs.values():
-                by_state[job.state] = by_state.get(job.state, 0) + 1
             return {
                 "uptime_s": round(time.time() - self.started_at, 3),
                 "cache_dir": self.cache_dir,
                 "stale_tmp_swept": self.stale_tmp_swept,
-                "jobs": dict(by_state),
+                "jobs": by_state,
                 "counters": dict(self._stats),
                 "store": {
                     "path": str(self.store.path),
@@ -735,7 +753,7 @@ class JobManager:
             if claim is None:
                 return
             self._lost_leases.discard(claim.job_id)
-            job = self._find(claim.job_id)
+            job = self.get(claim.job_id)
             if job is None or job.state in JobState.TERMINAL:
                 # A sibling finished it between our SELECT and now.
                 self.store.release_lease(claim.job_id, self.worker_id)
@@ -923,6 +941,9 @@ class JobManager:
                                   job.retries, self.worker_id)
         except Exception:  # pragma: no cover - store closed mid-stop
             pass
+        else:
+            # Journaled: from here on queries read the job from there.
+            self._forget(job)
         job.finished.set()
 
     def shutdown(self, wait: bool = True,

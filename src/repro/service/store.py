@@ -5,7 +5,8 @@
 ``sqlite3``, WAL mode, living beside the artifact cache) that journals
 
 * every submission (the pickled spec + expanded points travel with the
-  job, so a restarted service can rebuild it exactly),
+  job, so a restarted service, or a query for a finished job, can
+  rebuild it exactly),
 * every per-point completion and terminal failure (write-ahead
   ``journal`` records plus normalized ``rows``/``failures`` tables),
 * every state transition and lease event (claimed / reclaimed /
@@ -363,14 +364,19 @@ class JobStore:
                 "WHERE job_id=?", (job_id,)).fetchall()
         return {index: json.loads(text) for index, text in rows}
 
+    def count_states(self) -> Dict[str, int]:
+        """``{state: number of jobs}`` over every journaled job."""
+        with self._lock:
+            return dict(self._conn.execute(
+                "SELECT state, COUNT(*) FROM jobs "
+                "GROUP BY state").fetchall())
+
     def lifetime_counters(self) -> Dict[str, int]:
         """Service counters reconstructed from the journal tables, so
         ``stats()`` survives restarts (the sliding health window does
         not — a fresh process starts healthy by design)."""
+        by_state = self.count_states()
         with self._lock:
-            by_state = dict(self._conn.execute(
-                "SELECT state, COUNT(*) FROM jobs "
-                "GROUP BY state").fetchall())
             points_done, points_cached = self._conn.execute(
                 "SELECT COUNT(*), COALESCE(SUM(cached), 0) "
                 "FROM rows").fetchone()

@@ -1,5 +1,9 @@
 """Oracles of the accelerator power model in :mod:`repro.systolic.energy`.
 
+:func:`dynamic_lut_loop` is the per-weight loop that built
+``ArrayPowerModel``'s 256-entry dynamic-power lookup before one
+``np.interp`` call replaced it; the two must be byte-equal.
+
 :func:`schedule_value_counts_loop` is the per-tile counting loop that
 :func:`~repro.systolic.energy.schedule_value_counts` replaced with one
 ``np.bincount``.  Both count exact integers, so their counts, and the
@@ -17,6 +21,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.power.characterization import WeightPowerTable
 from repro.power.estimator import PowerBreakdown
 from repro.systolic.config import HardwareVariant
 from repro.systolic.energy import ArrayPowerModel, ScheduleCounts
@@ -24,6 +29,12 @@ from repro.systolic.mapping import Tile, TileSchedule
 
 #: Size of the dense signed-8-bit weight-value lookup.
 _LUT_SIZE = 1 << 8
+
+
+def dynamic_lut_loop(table: WeightPowerTable) -> np.ndarray:
+    """Dynamic power of every signed 8-bit weight, one lookup each."""
+    return np.array([table.dynamic_of(w, interpolate=True)
+                     for w in range(-(1 << 7), 1 << 7)])
 
 
 def schedule_value_counts_loop(schedule: TileSchedule,

@@ -10,11 +10,14 @@ workers inherit the monkeypatched synthetic point runner and the
 module-level sentinel path, so no real pipeline work runs.
 """
 
+import gc
 import json
 import multiprocessing
 import os
+import pickle
 import threading
 import time
+import tracemalloc
 from collections.abc import Mapping
 from dataclasses import replace
 
@@ -345,21 +348,34 @@ class _SlowMetrics(Mapping):
 
 class TestResultSerialization:
     def test_result_serializes_outside_the_lock(self, manager,
-                                                echo_experiment):
+                                                echo_experiment,
+                                                monkeypatch):
         """A client downloading a big terminal grid must not block
         concurrent status polls: the row snapshot is taken under the
-        manager lock, the tidy/aggregate serialization outside it."""
+        manager lock, the tidy/aggregate serialization outside it.  A
+        finished job's rows come from the journal, so the slow rows
+        are served by the store's row loading."""
         status = _finish(manager, manager.submit_mapping(SPEC))
-        job = manager.get(status["job_id"])
-        job.rows = [replace(row, metrics=_SlowMetrics(row.metrics,
-                                                      delay_s=0.4))
-                    for row in job.rows]
+        load_rows = manager.store.load_rows
+
+        def slow_rows(job_id):
+            rows = {}
+            for index, (blob, cached) in load_rows(job_id).items():
+                row = pickle.loads(blob)
+                slow = replace(row, metrics=_SlowMetrics(row.metrics,
+                                                         delay_s=0.4))
+                rows[index] = (pickle.dumps(slow), cached)
+            return rows
+
+        monkeypatch.setattr(manager.store, "load_rows", slow_rows)
 
         finished = threading.Event()
         payload = {}
 
         def _download():
+            start = time.monotonic()
             payload["result"] = manager.result(status["job_id"])
+            payload["seconds"] = time.monotonic() - start
             finished.set()
 
         thread = threading.Thread(target=_download)
@@ -371,9 +387,91 @@ class TestResultSerialization:
         assert finished.wait(10.0), "result() never finished"
         thread.join()
         assert payload["result"]["n_rows"] == 2
+        assert payload["seconds"] >= 0.4  # the slow rows were tidied
         assert elapsed < 0.35, (
             f"status() blocked {elapsed:.2f}s behind result() "
             f"serialization — tidy must run outside the lock")
+
+
+class TestFinishedJobsLeaveMemory:
+    """Only unfinished jobs live in memory; finished ones are read
+    back from the journal by every query, without being adopted."""
+
+    def test_queries_answer_finished_jobs_from_the_journal(
+            self, manager, echo_experiment):
+        job_ids = [_finish(manager, manager.submit_mapping(
+            dict(SPEC, seeds=[seed])))["job_id"] for seed in range(5)]
+        assert manager._jobs == {}
+        assert [status["job_id"] for status in manager.list_jobs()] \
+            == job_ids[::-1]
+        for seed, job_id in enumerate(job_ids):
+            assert manager.wait(job_id, timeout=0) is True
+            job = manager.get(job_id)
+            assert job.state == JobState.DONE
+            assert [row.metrics["accuracy"] for row in job.rows] \
+                == [seed, 900.0 + seed]
+            assert job.started_at >= job.created_at
+            status = manager.status(job_id)
+            assert status["state"] == JobState.DONE
+            assert status["points"]["done"] == 2
+            result = manager.result(job_id)
+            assert result["n_rows"] == 2
+            assert [row["seed"] for row in result["rows"]] == [seed] * 2
+        stats = manager.stats()
+        assert stats["jobs"] == {JobState.DONE: 5}
+        assert stats["counters"]["jobs_done"] == 5
+        assert manager._jobs == {}  # answering adopted nothing back
+
+    def test_memory_does_not_grow_with_finished_jobs(self, manager,
+                                                     echo_experiment):
+        """200 finished echo jobs leave under 150 KB of Python objects
+        behind; holding each job and its rows took ~1 MB."""
+        for _ in range(5):  # first-use caches and lazy imports
+            _finish(manager, manager.submit_mapping(SPEC))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(200):
+                _finish(manager, manager.submit_mapping(SPEC))
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert manager.stats()["jobs"] == {JobState.DONE: 205}
+        assert grown < 150_000, f"{grown} bytes kept by 200 jobs"
+
+    def test_adopted_sibling_job_is_dropped_once_it_finishes(
+            self, tmp_path, monkeypatch):
+        """A job a sibling runs is adopted while unfinished and dropped
+        once a sync sees its terminal state in the journal."""
+        monkeypatch.setitem(sweep_mod._POINT_RUNNERS, "fig8",
+                            _slow_runner)
+        cache = str(tmp_path / "cache")
+        store_path = str(tmp_path / "jobs.sqlite3")
+        runner = JobManager(cache_dir=cache, store_path=store_path,
+                            worker_id="runner", poll_interval_s=0.05)
+        # The observer's drain sleeps through the test: it never claims.
+        observer = JobManager(cache_dir=cache, store_path=store_path,
+                              worker_id="observer", poll_interval_s=600)
+        try:
+            job_id = runner.submit_mapping(SPEC)["job_id"]
+            job = observer.get(job_id)
+            assert job.state not in JobState.TERMINAL
+            assert observer._jobs == {job_id: job}
+            assert observer.wait(job_id, timeout=30)
+            assert job.state == JobState.DONE
+            assert observer._jobs == {}
+            assert observer.status(job_id)["points"]["done"] == 2
+            assert observer.result(job_id)["n_rows"] == 2
+            assert observer._jobs == {}
+            assert runner.store.count_events(job_id, "claimed") == 1
+            assert runner.store.journal_events(
+                job_id, event="claimed")[0]["detail"]["worker"] \
+                == "runner"
+        finally:
+            runner.shutdown()
+            observer.shutdown()
 
 
 class TestCsv:

@@ -231,9 +231,13 @@ print("UNREACHABLE", flush=True)  # the crash knob SIGKILLs us first
         # was journaled — the hard way, not an exception.
         assert proc.returncode == -signal.SIGKILL, proc.stderr
         assert "UNREACHABLE" not in proc.stdout
-        job_id = proc.stdout.split()[0]
 
+        # The kill can land before the child prints the job id, so the
+        # id comes from the journal, which holds exactly the one job.
         store = JobStore(store_path)
+        (record,) = store.load_jobs()
+        job_id = record["job_id"]
+        assert proc.stdout.split()[:1] in ([], [job_id])
         rows_before_restart = store.load_rows(job_id)
         assert len(rows_before_restart) == 1  # the journaled row
         assert store.load_job(job_id)["state"] == "running"

@@ -1,5 +1,6 @@
 """Tests for the stage-graph pipeline engine and the artifact cache."""
 
+import dataclasses
 import json
 from types import SimpleNamespace
 
@@ -146,9 +147,7 @@ class TestPowerPruningGraphKeys:
     """Selective invalidation over the real pipeline graph."""
 
     def _keys(self, **overrides):
-        config = PipelineConfig()
-        for name, value in overrides.items():
-            setattr(config, name, value)
+        config = dataclasses.replace(PipelineConfig(), **overrides)
         return POWER_PRUNING_GRAPH.keys(config)
 
     def test_covers_all_declared_stages(self):
@@ -194,12 +193,18 @@ class TestCharWeights:
         assert config.char_weights() is config.char_weights()
 
     def test_cache_tracks_step_changes(self):
+        """A replaced config computes its own weights."""
         config = PipelineConfig(char_weight_step=4)
         coarse = config.char_weights()
-        config.char_weight_step = 16
-        finer_step = config.char_weights()
-        assert finer_step is config.char_weights()
+        replaced = dataclasses.replace(config, char_weight_step=16)
+        finer_step = replaced.char_weights()
+        assert finer_step is replaced.char_weights()
         assert len(finer_step) < len(coarse)
+        assert config.char_weights() is coarse
+
+    def test_config_is_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            PipelineConfig().char_weight_step = 16
 
 
 def _tiny_config(**overrides) -> PipelineConfig:
@@ -210,9 +215,7 @@ def _tiny_config(**overrides) -> PipelineConfig:
         n_restarts=1, stats_batch=4,
         power_thresholds_uw=(900.0,), delay_thresholds_ps=(170.0,),
     )
-    for name, value in overrides.items():
-        setattr(config, name, value)
-    return config
+    return dataclasses.replace(config, **overrides)
 
 
 @pytest.mark.slow
