@@ -25,10 +25,12 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_accel.py
     PYTHONPATH=src python benchmarks/bench_accel.py --quick
 
-The full run enforces the PR's acceptance floor (vectorized >= 2x the
-reference loop summed over the workload); ``--quick`` shrinks the
-repeat count for CI smoke and only asserts the vectorized path is not
-slower.
+Each repeat times one pass of each implementation over the workload,
+back to back (alternating which goes first), so a drift in the
+machine's speed hits both sides of a pair alike.  The floor applies to
+the median of the per-pair speedups: the full run requires the
+vectorized path to be >= 2x the reference loop; ``--quick`` runs fewer
+pairs for CI smoke and only asserts the vectorized path is not slower.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -125,7 +128,7 @@ def verify(cases) -> float:
 
 
 def bench(cases, repeats: int):
-    """Summed wall time of each implementation over the workload."""
+    """Per-pair wall times of each implementation over the workload."""
     def vectorized(model, schedule, weights):
         return model.layer_power(schedule, weights, OPTIMIZED_HW)
 
@@ -133,19 +136,32 @@ def bench(cases, repeats: int):
         return oracle.layer_power_reference(model, schedule, weights,
                                             OPTIMIZED_HW)
 
-    def run_all(fn):
+    def run_once(fn):
         start = time.perf_counter()
-        for __ in range(repeats):
-            for __, model, schedule, weights in cases:
-                fn(model, schedule, weights)
-        return (time.perf_counter() - start) / repeats
+        for __, model, schedule, weights in cases:
+            fn(model, schedule, weights)
+        return time.perf_counter() - start
 
-    # Warm-up, then time.
-    run_all(vectorized)
-    run_all(reference)
+    # Warm-up, then one interleaved pair per repeat.
+    run_once(vectorized)
+    run_once(reference)
+    pairs = []
+    for repeat in range(repeats):
+        if repeat % 2:
+            ref_s = run_once(reference)
+            vec_s = run_once(vectorized)
+        else:
+            vec_s = run_once(vectorized)
+            ref_s = run_once(reference)
+        pairs.append((vec_s, ref_s))
+    ratios = [ref_s / vec_s for vec_s, ref_s in pairs]
+    quartiles = statistics.quantiles(ratios, n=4)
     return {
-        "vectorized_s": run_all(vectorized),
-        "reference_s": run_all(reference),
+        "vectorized_s": statistics.median(vec for vec, __ in pairs),
+        "reference_s": statistics.median(ref for __, ref in pairs),
+        "speedup_median": statistics.median(ratios),
+        "speedup_q1": quartiles[0],
+        "speedup_q3": quartiles[2],
     }
 
 
@@ -165,21 +181,19 @@ def main(argv=None) -> int:
     print(f"verified: counts bit-equal, vectorized == loop, "
           f"oracle agreement worst rel dev {worst:.2e}")
 
-    repeats = 3 if args.quick else 10
+    repeats = 11 if args.quick else 51
     times = bench(cases, repeats)
-    speedup = times["reference_s"] / times["vectorized_s"]
+    speedup = times["speedup_median"]
     print(f"layer_power (bincount):   {times['vectorized_s'] * 1e3:8.2f}"
-          f" ms/workload")
+          f" ms/workload (median)")
     print(f"layer_power_reference:    {times['reference_s'] * 1e3:8.2f}"
-          f" ms/workload")
-    print(f"speedup: {speedup:.2f}x over "
-          f"{len(cases)} (geometry x layer) cases")
+          f" ms/workload (median)")
+    print(f"speedup: median {speedup:.2f}x (quartiles "
+          f"{times['speedup_q1']:.2f}-{times['speedup_q3']:.2f}x) over "
+          f"{repeats} interleaved pairs of {len(cases)} (geometry x "
+          f"layer) cases")
 
     floor = 1.0 if args.quick else 2.0
-    assert speedup >= floor, (
-        f"vectorized layer power must be >= {floor}x the reference "
-        f"loop, measured {speedup:.2f}x")
-
     payload = {
         "benchmark": "accel_layer_power",
         "quick": args.quick,
@@ -190,6 +204,7 @@ def main(argv=None) -> int:
         "times": times,
         "speedup": speedup,
         "floor": floor,
+        "floor_met": speedup >= floor,
         "worst_rel_dev_vs_reference": worst,
         "platform": {
             "python": platform.python_version(),
@@ -201,6 +216,11 @@ def main(argv=None) -> int:
         Path(__file__).resolve().parent / "BENCH_accel.json"
     out.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"results written to {out}")
+    # Recorded first, so a run that misses the floor still leaves its
+    # numbers behind.
+    assert speedup >= floor, (
+        f"vectorized layer power must be >= {floor}x the reference "
+        f"loop, measured a median of {speedup:.2f}x")
     return 0
 
 

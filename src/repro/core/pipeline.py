@@ -114,7 +114,7 @@ class PipelineConfig:
     @property
     def accel_geometry(self) -> Dict[str, object]:
         """``accel_schedule`` key payload: geometry + mapping only —
-        the hardware variant shares one schedule."""
+        the hardware variants share one schedule and its counts."""
         return self._resolved_accel().geometry_payload()
 
     @property

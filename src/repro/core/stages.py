@@ -29,12 +29,15 @@ Plus the accelerator-evaluation branch (keyed on the
 :class:`~repro.systolic.spec.AcceleratorSpec` design point only, so a
 design-space sweep shares the whole training/characterization prefix)::
 
-    pruned ──► accel_schedule ──► accel_eval
-                  (geometry)   (power_table, voltage_scaling, variant)
+    pruned ──► accel_layers ──► accel_schedule ──► accel_eval
+                                  (geometry)   (power_table,
+                                                voltage_scaling, variant)
 
-``power_measurement`` and the accelerator branch trace layer geometry on
-one zero image (:meth:`PipelineOps.trace_layers`), so they never build
-the dataset.
+``accel_layers`` traces the pruned model once for every design point;
+``accel_schedule`` tiles it and counts each layer's stationary values
+once per geometry, for both hardware variants.  ``power_measurement``
+and ``accel_layers`` trace layer geometry on one zero image
+(:meth:`PipelineOps.trace_layers`), so they never build the dataset.
 
 Stage outputs are plain picklable values; stages that conceptually
 produce "the model" return its ``state_dict`` plus the active
@@ -698,29 +701,41 @@ def _stage_report(ops: PipelineOps, inputs: Dict[str, Any]):
     )
 
 
-def _stage_accel_schedule(ops: PipelineOps, inputs: Dict[str, Any]):
-    """Pruned model lowered onto the configured array geometry.
+def _stage_accel_layers(ops: PipelineOps, inputs: Dict[str, Any]):
+    """Every layer of the pruned model: name, weights, matmul shape.
 
-    Keyed on the spec's geometry/mapping payload only — Standard and
-    Optimized HW share one schedule, so sweeping the variant axis reuses
-    this artifact.
+    None of it depends on the array, so every geometry and hardware
+    variant shares this one trace.
     """
+    model = ops.model_from_state(inputs["pruned"]["state"])
+    return [{"name": workload.name, "weights": workload.weights,
+             "shape": (workload.schedule.k, workload.schedule.n,
+                       workload.schedule.m)}
+            for workload in ops.trace_layers(model, ops.systolic_config)]
+
+
+def _stage_accel_schedule(ops: PipelineOps, inputs: Dict[str, Any]):
+    """The traced layers tiled onto the configured array geometry.
+
+    Keyed on the spec's geometry/mapping payload only.  Each layer's
+    cycle-weighted occupancy counts are taken here, once: Standard and
+    Optimized HW read the same counts, so sweeping the variant axis
+    reuses this artifact.
+    """
+    from repro.systolic.energy import schedule_value_counts
     from repro.systolic.mapping import schedule_matmul
 
     spec, config = ops.accel_design()
-    model = ops.model_from_state(inputs["pruned"]["state"])
     layers = []
-    for workload in ops.trace_layers(model, config):
-        schedule = workload.schedule
-        if spec.stream_batch != 1:
-            # Stream `stream_batch` inferences through each stationary
-            # tile load; per-inference metrics divide back out later.
-            schedule = schedule_matmul(
-                schedule.k, schedule.n,
-                schedule.m * spec.stream_batch, config)
-        layers.append({"name": workload.name,
-                       "weights": workload.weights,
-                       "schedule": schedule})
+    for layer in inputs["accel_layers"]:
+        k, n, m = layer["shape"]
+        # Stream `stream_batch` inferences through each stationary tile
+        # load; per-inference metrics divide back out later.
+        schedule = schedule_matmul(k, n, m * spec.stream_batch, config)
+        layers.append({
+            "name": layer["name"], "schedule": schedule,
+            "counts": schedule_value_counts(schedule, layer["weights"]),
+        })
     return {"rows": config.rows, "cols": config.cols,
             "inferences": spec.stream_batch, "layers": layers}
 
@@ -728,17 +743,18 @@ def _stage_accel_schedule(ops: PipelineOps, inputs: Dict[str, Any]):
 def _stage_accel_eval(ops: PipelineOps, inputs: Dict[str, Any]):
     """Array-level utilization/power/energy/latency of the design point.
 
-    Applies the hardware variant's gating semantics to the cached tile
-    schedules via :class:`~repro.systolic.energy.ArrayPowerModel`, at
-    nominal supply and at the ``voltage_scaling`` operating point.
-    Per-layer rows plus a network-level summary; ``latency_us`` /
-    ``energy_uj`` are per inference (``stream_batch`` divides out).
+    Applies the hardware variant's gating semantics to the cached
+    occupancy counts via :class:`~repro.systolic.energy.ArrayPowerModel`,
+    at nominal supply and at the ``voltage_scaling`` operating point;
+    the network totals combine the layers' nominal powers.  Per-layer
+    rows plus a network-level summary; ``latency_us`` / ``energy_uj``
+    are per inference (``stream_batch`` divides out).
     """
     from repro.systolic import ArrayPowerModel, MacPowerParams
 
     spec, config = ops.accel_design()
     variant = spec.hardware_variant()
-    scaling = inputs["voltage_scaling"]
+    vdd = inputs["voltage_scaling"].vdd
     schedule_out = inputs["accel_schedule"]
     inferences = schedule_out["inferences"]
     model = ArrayPowerModel(
@@ -750,12 +766,11 @@ def _stage_accel_eval(ops: PipelineOps, inputs: Dict[str, Any]):
     period_s = config.clock_period_ps * 1e-12
 
     layer_rows = []
-    pairs = []
+    nominal = []
     for layer in schedule_out["layers"]:
-        schedule, weights = layer["schedule"], layer["weights"]
-        power = model.layer_power(schedule, weights, variant)
-        power_vs = model.layer_power(schedule, weights, variant,
-                                     vdd=scaling.vdd)
+        schedule, counts = layer["schedule"], layer["counts"]
+        power = model.power_from_counts(counts, variant)
+        power_vs = model.power_from_counts(counts, variant, vdd=vdd)
         cycles = schedule.total_cycles
         time_s = cycles * period_s
         layer_rows.append({
@@ -769,17 +784,17 @@ def _stage_accel_eval(ops: PipelineOps, inputs: Dict[str, Any]):
             "energy_uj": power.total_uw * time_s / inferences,
             "energy_vs_uj": power_vs.total_uw * time_s / inferences,
         })
-        pairs.append((schedule, weights))
+        nominal.append((power, cycles))
 
-    power = model.network_power(pairs, variant)
-    power_vs = model.network_power(pairs, variant, vdd=scaling.vdd)
-    total_cycles = sum(schedule.total_cycles for schedule, _ in pairs)
-    total_macs = sum(schedule.total_macs for schedule, _ in pairs)
+    power = model.combine(nominal)
+    power_vs = model.combine(nominal, vdd=vdd)
+    total_cycles = sum(row["cycles"] for row in layer_rows)
+    total_macs = sum(row["macs"] for row in layer_rows)
     time_s = total_cycles * period_s
     network = {
         "rows": config.rows, "cols": config.cols,
         "variant": spec.variant, "stream_batch": spec.stream_batch,
-        "vdd": scaling.vdd,
+        "vdd": vdd,
         "total_cycles": total_cycles, "total_macs": total_macs,
         "utilization": total_macs / (total_cycles * config.n_pes),
         "power": power, "power_vs": power_vs,
@@ -806,6 +821,7 @@ POWER_PRUNING_STAGES: Tuple[str, ...] = (
     "voltage_scaling",
     "power_measurement",
     "report",
+    "accel_layers",
     "accel_schedule",
     "accel_eval",
 )
@@ -887,15 +903,23 @@ def build_power_pruning_graph() -> StageGraph:
     # Accelerator-evaluation branch.  `accel_geometry`/`accel_point`
     # are the resolved AcceleratorSpec payloads — the ONLY place the
     # design point enters any key, so geometry sweeps share the whole
-    # training/characterization prefix (power_table keys identical
-    # across array shapes, by construction).
+    # training/characterization prefix and the `accel_layers` trace
+    # (their keys identical across array shapes, by construction).
     graph.add(Stage(
-        "accel_schedule", _stage_accel_schedule, deps=("pruned",),
+        "accel_layers", _stage_accel_layers, deps=("pruned",),
+    ))
+    graph.add(Stage(
+        "accel_schedule", _stage_accel_schedule, deps=("accel_layers",),
         fields=("accel_geometry",),
+        # v2: tiles the shared trace and stores occupancy counts, not
+        # weights.
+        version="2",
     ))
     graph.add(Stage(
         "accel_eval", _stage_accel_eval,
         deps=("accel_schedule", "power_table", "voltage_scaling"),
         fields=("accel_point", "clock_power_uw"),
+        # v2: power from the stored counts.
+        version="2",
     ))
     return graph

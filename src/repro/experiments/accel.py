@@ -7,9 +7,10 @@ geometry x hardware variant (Standard vs Optimized HW) x streaming
 batch.  This module is a thin adapter over the declarative sweep
 engine (:mod:`repro.experiments.sweep`): the design space is just the
 ``accel`` sweep grid, so every point of one (backend, network, seed)
-shares the whole training/characterization prefix through the
+shares the whole training/characterization prefix and the
+``accel_layers`` trace of the pruned model through the
 content-addressed artifact store, and Standard vs Optimized HW of one
-geometry additionally share the ``accel_schedule`` artifact.
+geometry additionally share the tile counts in ``accel_schedule``.
 
 CLI::
 

@@ -13,8 +13,10 @@ design space: ``array_shapes x hw_variants``
 (:class:`~repro.systolic.spec.AcceleratorSpec` points evaluated by the
 ``accel_*`` pipeline stages).  Accelerator points key only the
 ``accel_*`` stage keys, so every design point of one (backend, network,
-seed) shares the whole training/characterization prefix — and Standard
-vs Optimized HW additionally share the ``accel_schedule`` artifact.
+seed) shares the whole training/characterization prefix and the
+``accel_layers`` trace of the pruned model — and Standard vs Optimized
+HW of one geometry additionally share the ``accel_schedule`` tile
+counts.
 
 Caching makes the grid cheap where it overlaps:
 

@@ -196,10 +196,14 @@ class ExperimentJob:
             "lease_drop": self.lease_drop,
         }
 
-    def status(self) -> Dict[str, Any]:
-        """JSON-able snapshot (the ``GET /sweeps/{id}`` payload)."""
+    def status(self, done: Optional[int] = None) -> Dict[str, Any]:
+        """JSON-able snapshot (the ``GET /sweeps/{id}`` payload).
+
+        ``done`` stands in for the count of finished rows when the job
+        was summarized from the journal without them.
+        """
         total = len(self.points)
-        done = self.n_done
+        done = self.n_done if done is None else done
         failed = len(self.failures)
         snapshot: Dict[str, Any] = {
             "job_id": self.job_id,
@@ -496,13 +500,25 @@ class JobManager:
         if job is not None:
             return job
         record = self.store.load_job(job_id)
-        if record is None:
-            return None
+        return None if record is None else self._adopt(record)
+
+    def _adopt(self, record: Dict[str, Any]) -> ExperimentJob:
+        """A journaled job rebuilt with its rows; adopted into memory
+        only while unfinished."""
         job = self._rebuild_job(record)
         if job.state in JobState.TERMINAL:
             return job
         with self._lock:
-            return self._jobs.setdefault(job_id, job)
+            return self._jobs.setdefault(job.job_id, job)
+
+    def _journal_status(self, record: Dict[str, Any],
+                        counts: Dict[str, Tuple[int, int]]
+                        ) -> Dict[str, Any]:
+        """Status of a job not held in memory, from its record, its
+        row counts and its failures; no row is unpickled."""
+        job = self._rebuild_job(record, with_rows=False)
+        done, job.cached = counts.get(job.job_id, (0, 0))
+        return job.status(done=done)
 
     def _sync_from_store(self, job: ExperimentJob) -> None:
         """Refresh a job some *other* worker is (or was) running.
@@ -551,9 +567,18 @@ class JobManager:
             del self._jobs[job.job_id]
 
     def status(self, job_id: str) -> Optional[Dict[str, Any]]:
-        job = self.get(job_id)
+        """A job's status; a finished one is summarized from the
+        journal without loading its rows."""
+        with self._lock:
+            job = self._jobs.get(job_id)
         if job is None:
-            return None
+            record = self.store.load_job(job_id)
+            if record is None:
+                return None
+            if record["state"] in JobState.TERMINAL:
+                return self._journal_status(
+                    record, self.store.row_counts(job_id))
+            job = self._adopt(record)
         self._maybe_sync(job)
         with self._lock:
             return job.status()
@@ -562,16 +587,19 @@ class JobManager:
         """Newest-first summaries of every journaled job.
 
         Jobs held in memory report their live state; the rest are
-        rebuilt from the journal without being adopted.
+        summarized from the journal, with one row-count query for the
+        whole listing, and not adopted.
         """
+        records = self.store.load_jobs()
+        counts = self.store.row_counts()
         statuses = []
-        for record in reversed(self.store.load_jobs()):
+        for record in reversed(records):
             with self._lock:
                 job = self._jobs.get(record["job_id"])
             if job is None:
-                job = self._rebuild_job(record)
-            else:
-                self._maybe_sync(job)
+                statuses.append(self._journal_status(record, counts))
+                continue
+            self._maybe_sync(job)
             with self._lock:
                 statuses.append(job.status())
         return statuses
@@ -690,8 +718,10 @@ class JobManager:
     # ------------------------------------------------------------------
     # recovery plumbing
     # ------------------------------------------------------------------
-    def _rebuild_job(self, record: Dict[str, Any]) -> ExperimentJob:
-        """An :class:`ExperimentJob` replayed from its journal."""
+    def _rebuild_job(self, record: Dict[str, Any],
+                     with_rows: bool = True) -> ExperimentJob:
+        """An :class:`ExperimentJob` replayed from its journal
+        (``with_rows=False`` leaves every row slot empty)."""
         spec, points = pickle.loads(record["spec"])
         knobs = record["knobs"]
         job = ExperimentJob(
@@ -716,12 +746,13 @@ class JobManager:
         job.precached = record["precached"]
         job.retries = record["retries"]
         job.rows = [None] * len(job.points)
-        cached = 0
-        for index, (blob, was_cached) in \
-                self.store.load_rows(job.job_id).items():
-            job.rows[index] = pickle.loads(blob)
-            cached += 1 if was_cached else 0
-        job.cached = cached
+        if with_rows:
+            cached = 0
+            for index, (blob, was_cached) in \
+                    self.store.load_rows(job.job_id).items():
+                job.rows[index] = pickle.loads(blob)
+                cached += 1 if was_cached else 0
+            job.cached = cached
         job.failures = self.store.load_failures(job.job_id)
         if job.state in JobState.TERMINAL:
             job.finished.set()

@@ -357,6 +357,22 @@ class JobStore:
         return {index: (bytes(blob), bool(cached))
                 for index, blob, cached in rows}
 
+    def row_counts(self, job_id: Optional[str] = None
+                   ) -> Dict[str, Tuple[int, int]]:
+        """``{job_id: (rows journaled, rows served from cache)}``.
+
+        One grouped query over every job (or over ``job_id`` alone),
+        unpickling no row: enough for a status summary.
+        """
+        where, params = (("WHERE job_id=? ", (job_id,))
+                         if job_id is not None else ("", ()))
+        with self._lock:
+            rows = self._conn.execute(
+                f"SELECT job_id, COUNT(*), COALESCE(SUM(cached), 0) "
+                f"FROM rows {where}GROUP BY job_id", params).fetchall()
+        return {jid: (int(done), int(cached))
+                for jid, done, cached in rows}
+
     def load_failures(self, job_id: str) -> Dict[int, Dict[str, Any]]:
         with self._lock:
             rows = self._conn.execute(

@@ -18,7 +18,7 @@ leakage by the super-linear FinFET law (see :mod:`repro.cells.voltage`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -161,12 +161,17 @@ class ArrayPowerModel:
             vdd: Optional scaled supply voltage.
         """
         counts = schedule_value_counts(schedule, weights)
-        return self._power_from_counts(counts, variant, vdd)
+        return self.power_from_counts(counts, variant, vdd)
 
-    def _power_from_counts(self, counts: ScheduleCounts,
-                           variant: HardwareVariant,
-                           vdd: Optional[float] = None) -> PowerBreakdown:
-        """Gating semantics applied to cycle-weighted occupancy counts."""
+    def power_from_counts(self, counts: ScheduleCounts,
+                          variant: HardwareVariant,
+                          vdd: Optional[float] = None) -> PowerBreakdown:
+        """Gating semantics applied to cycle-weighted occupancy counts.
+
+        The counts do not depend on the variant or the supply, so one
+        :func:`schedule_value_counts` serves every variant at every
+        voltage.
+        """
         params = self.params
         weight_counts = counts.weight_counts
         zero_index = -self._weight_offset
@@ -190,18 +195,34 @@ class ArrayPowerModel:
             leaking_pe_cycles = total_pe_cycles
 
         total_cycles = counts.total_cycles
-        breakdown = PowerBreakdown(
+        return self._at_supply(PowerBreakdown(
             dynamic_uw=(data_dynamic
                         + clocked_pe_cycles * params.clock_power_uw
                         ) / total_cycles,
             leakage_uw=leaking_pe_cycles * params.leakage_uw / total_cycles,
-        )
-        if vdd is not None:
-            breakdown = breakdown.scaled(
-                self.voltage_model.dynamic_power_scale(vdd),
-                self.voltage_model.leakage_power_scale(vdd),
-            )
-        return breakdown
+        ), vdd)
+
+    def combine(self, layers: Sequence[Tuple[PowerBreakdown, int]],
+                vdd: Optional[float] = None) -> PowerBreakdown:
+        """Cycle-weighted average of per-layer powers.
+
+        Args:
+            layers: ``(nominal-supply power, cycles)`` per layer.
+            vdd: Optional scaled supply voltage for the average.
+        """
+        if not layers:
+            raise ValueError("need at least one layer")
+        energy_dyn = 0.0
+        energy_leak = 0.0
+        total_cycles = 0
+        for power, cycles in layers:
+            energy_dyn += power.dynamic_uw * cycles
+            energy_leak += power.leakage_uw * cycles
+            total_cycles += cycles
+        return self._at_supply(PowerBreakdown(
+            dynamic_uw=energy_dyn / total_cycles,
+            leakage_uw=energy_leak / total_cycles,
+        ), vdd)
 
     def network_power(self, layers: Sequence, variant: HardwareVariant,
                       vdd: Optional[float] = None) -> PowerBreakdown:
@@ -210,24 +231,17 @@ class ArrayPowerModel:
         Args:
             layers: Sequence of ``(schedule, weights)`` pairs.
         """
-        if not layers:
-            raise ValueError("need at least one layer")
-        energy_dyn = 0.0
-        energy_leak = 0.0
-        total_cycles = 0
-        for schedule, weights in layers:
-            power = self.layer_power(schedule, weights, variant, vdd=None)
-            cycles = schedule.total_cycles
-            energy_dyn += power.dynamic_uw * cycles
-            energy_leak += power.leakage_uw * cycles
-            total_cycles += cycles
-        breakdown = PowerBreakdown(
-            dynamic_uw=energy_dyn / total_cycles,
-            leakage_uw=energy_leak / total_cycles,
+        return self.combine(
+            [(self.layer_power(schedule, weights, variant),
+              schedule.total_cycles) for schedule, weights in layers],
+            vdd)
+
+    def _at_supply(self, breakdown: PowerBreakdown,
+                   vdd: Optional[float]) -> PowerBreakdown:
+        """``breakdown`` scaled from nominal supply to ``vdd``."""
+        if vdd is None:
+            return breakdown
+        return breakdown.scaled(
+            self.voltage_model.dynamic_power_scale(vdd),
+            self.voltage_model.leakage_power_scale(vdd),
         )
-        if vdd is not None:
-            breakdown = breakdown.scaled(
-                self.voltage_model.dynamic_power_scale(vdd),
-                self.voltage_model.leakage_power_scale(vdd),
-            )
-        return breakdown

@@ -12,8 +12,9 @@ of plain scalars whose :meth:`key_payload` feeds the content-addressed
 stage cache — but deliberately *only* through the ``accel_schedule`` /
 ``accel_eval`` stage keys: changing the array geometry must never
 invalidate the training/characterization prefix (``power_table``,
-``timing_table``, ...), which is what makes a design-space sweep over
-geometries share one characterization run.
+``timing_table``, ...) or the ``accel_layers`` trace of the pruned
+model, which is what makes a design-space sweep over geometries share
+one characterization run and one trace.
 """
 
 from __future__ import annotations
@@ -162,8 +163,8 @@ class AcceleratorSpec:
         """The schedule-relevant half of the key: geometry + mapping.
 
         The hardware variant is deliberately absent — Standard and
-        Optimized HW share one tile schedule, so ``accel_schedule``
-        must key on geometry alone.
+        Optimized HW share one tile schedule and its occupancy counts,
+        so ``accel_schedule`` must key on geometry alone.
         """
         return {"rows": self.rows, "cols": self.cols,
                 "stream_batch": int(self.stream_batch)}

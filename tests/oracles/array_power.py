@@ -71,7 +71,7 @@ def layer_power_loop(model: ArrayPowerModel, schedule: TileSchedule,
                      weights: np.ndarray, variant: HardwareVariant,
                      vdd: Optional[float] = None) -> PowerBreakdown:
     """``model.layer_power`` over the per-tile counts (bit-equal)."""
-    return model._power_from_counts(
+    return model.power_from_counts(
         schedule_value_counts_loop(schedule, weights), variant, vdd)
 
 

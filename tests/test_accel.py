@@ -2,19 +2,28 @@
 
 Covers the :class:`~repro.systolic.spec.AcceleratorSpec` design-point
 record, the vectorized array power model (bincount vs per-tile loop vs
-the original reference oracle), the cache-key isolation contract —
-array geometry invalidates only the ``accel_*`` stages, never the
-training/characterization prefix — and the ``accel`` sweep experiment
-end to end at smoke scale.
+the original reference oracle), the accel branch of the stage graph
+against the per-geometry trace it replaced, the cache-key isolation
+contract — array geometry invalidates only the geometry-keyed
+``accel_*`` stages, never the training/characterization prefix or the
+shared layer trace — and the ``accel`` sweep experiment end to end at
+smoke scale.
 """
+
+import dataclasses
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import accel_eval as stage_oracle
 from oracles import array_power as oracle
-from repro.core.stages import shared_stage_keys
-from repro.experiments.config import NETWORK_SPECS
+from repro.core import stages
+from repro.core.pruning import magnitude_prune
+from repro.core.stages import PipelineOps, shared_stage_keys
+from repro.core.voltage_scaling import scale_voltage
+from repro.experiments.config import NETWORK_SPECS, pipeline_config
 from repro.experiments.sweep import (
     expand,
     make_sweep_spec,
@@ -48,6 +57,9 @@ NON_ACCEL_STAGES = (
     "voltage_scaling", "power_measurement", "report",
 )
 ACCEL_STAGES = ("accel_schedule", "accel_eval")
+#: Every stage no design-point field reaches: the prefix above plus
+#: the layer trace all geometries and variants share.
+SPEC_FREE_STAGES = NON_ACCEL_STAGES + ("accel_layers",)
 
 
 # ----------------------------------------------------------------------
@@ -278,12 +290,12 @@ class TestAccelStageKeys:
             base = get_backend(config.backend).build_systolic_config()
             config = replace(config, accel=accel.resolved(base))
         return shared_stage_keys(config,
-                                 NON_ACCEL_STAGES + ACCEL_STAGES)
+                                 SPEC_FREE_STAGES + ACCEL_STAGES)
 
     def test_geometry_invalidates_only_accel_stages(self):
         default = self._keys(None)
         small = self._keys(AcceleratorSpec(rows=16, cols=16))
-        for name in NON_ACCEL_STAGES:
+        for name in SPEC_FREE_STAGES:
             assert default[name] == small[name], name
         for name in ACCEL_STAGES:
             assert default[name] != small[name], name
@@ -295,8 +307,20 @@ class TestAccelStageKeys:
                                          variant="optimized"))
         assert std["accel_schedule"] == opt["accel_schedule"]
         assert std["accel_eval"] != opt["accel_eval"]
-        for name in NON_ACCEL_STAGES:
+        for name in SPEC_FREE_STAGES:
             assert std[name] == opt[name], name
+
+    def test_layer_trace_has_one_key_per_prefix(self):
+        """Every geometry, variant and stream batch reads the same
+        ``accel_layers`` artifact."""
+        specs = [None] + [
+            AcceleratorSpec(rows=rows, cols=cols, variant=variant,
+                            stream_batch=batch)
+            for rows, cols in ((16, 16), (20, 48), (7, 130))
+            for variant in ("standard", "optimized")
+            for batch in (1, 4)]
+        keys = {self._keys(spec)["accel_layers"] for spec in specs}
+        assert len(keys) == 1
 
     def test_default_geometry_aliases_explicit_backend_shape(self):
         base = get_backend("nangate15-booth").build_systolic_config()
@@ -320,6 +344,62 @@ class TestAccelStageKeys:
         points = expand(spec)
         assert len(points) == 6
         assert shared_prefix_count(points) == 1
+
+
+# ----------------------------------------------------------------------
+# the accel branch against the per-geometry trace it replaced
+# ----------------------------------------------------------------------
+#: Array shapes the branch is checked on; ``None`` is the backend's own.
+ORACLE_SHAPES = ((16, 16), None, (20, 48), (7, 130))
+
+
+def _synthetic_table() -> WeightPowerTable:
+    """Every third weight characterized, so the lookup interpolates."""
+    rng = np.random.default_rng(7)
+    weights = np.arange(-127, 128, 3)
+    dynamic = 180.0 + 2.0 * np.abs(weights) + 30.0 * rng.random(
+        weights.size)
+    return WeightPowerTable(weights=weights, power_uw=dynamic + 11.5,
+                            dynamic_uw=dynamic, leakage_uw=11.5,
+                            clock_period_ps=180.0)
+
+
+@pytest.mark.parametrize("spec", NETWORK_SPECS,
+                         ids=[s.network for s in NETWORK_SPECS])
+def test_accel_branch_pickles_like_the_oracle(spec):
+    """One shared trace, counts per geometry and power from the counts
+    give the bytes of the old per-geometry composition, for every shape,
+    variant and stream batch."""
+    config = pipeline_config(spec, "smoke")
+    ops = PipelineOps(config)
+    model = ops.build_model()
+    magnitude_prune(model, config.prune_fraction)
+    pruned = {"state": model.state_dict()}
+    table = _synthetic_table()
+    scaling = scale_voltage(140.0, ops.systolic_config.clock_period_ps,
+                            ops.voltage_model)
+    layers = stages._stage_accel_layers(ops, {"pruned": pruned})
+    for shape in ORACLE_SHAPES:
+        rows, cols = shape if shape is not None else (None, None)
+        for batch in (1, 4):
+            point_ops = [
+                PipelineOps(dataclasses.replace(config, accel=(
+                    AcceleratorSpec(rows=rows, cols=cols, variant=variant,
+                                    stream_batch=batch))))
+                for variant in ("standard", "optimized")]
+            schedule = stages._stage_accel_schedule(
+                point_ops[0], {"accel_layers": layers})
+            want_schedule = stage_oracle.accel_schedule(
+                point_ops[0], {"pruned": pruned})
+            for variant_ops in point_ops:
+                got = stages._stage_accel_eval(variant_ops, {
+                    "accel_schedule": schedule, "power_table": table,
+                    "voltage_scaling": scaling})
+                want = stage_oracle.accel_eval(variant_ops, {
+                    "accel_schedule": want_schedule, "power_table": table,
+                    "voltage_scaling": scaling})
+                label = variant_ops.config.accel.describe()
+                assert pickle.dumps(got) == pickle.dumps(want), label
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,12 @@
 """Layer geometry traced on one zero image instead of the dataset.
 
-``power_measurement`` and ``accel_schedule`` need each layer's weights
-and tile schedule, nothing else.  With activations not captured those
+``power_measurement`` and ``accel_layers`` need each layer's weights
+and matmul shape, nothing else.  With activations not captured those
 depend only on the input shape, so :meth:`PipelineOps.trace_layers`
-runs one zero image of :data:`repro.data.IMAGE_SHAPE` and the two stages
-no longer depend on the ``dataset`` stage.  These tests hold the zero
-trace to the test-image trace it replaced, the declared shape to the
-datasets, and the accel branch to never building a dataset.
+runs one zero image of :data:`repro.data.IMAGE_SHAPE` and neither stage
+depends on the ``dataset`` stage.  These tests hold the zero trace to
+the test-image trace it replaced, the declared shape to the datasets,
+and the accel branch to never building a dataset.
 """
 
 import dataclasses
@@ -71,7 +71,7 @@ def test_declared_image_shape_matches_every_dataset():
 
 
 def test_geometry_stages_do_not_depend_on_the_dataset():
-    for name in ("accel_schedule", "power_measurement"):
+    for name in ("accel_layers", "accel_schedule", "power_measurement"):
         assert "dataset" not in POWER_PRUNING_GRAPH[name].deps, name
 
 

@@ -1,12 +1,13 @@
 """An accelerator point pays only for its own stages.
 
 A design point over a warm prefix builds neither the MAC netlist nor
-the cell library, keys each stage once per runner, and builds its
-power lookup with one ``np.interp`` call, without moving a key or a
-byte of output.  The keys are held to the memo-free
-``dataclasses.asdict`` walk in :mod:`oracles.stage_keys` and to the
-digest the graph produced before the memo, the lookup to the
-per-weight loop in :mod:`oracles.array_power`.
+the cell library, neither rebuilds nor traces the pruned model once
+``accel_layers`` is cached, counts each layer once per geometry, keys
+each stage once per runner, and builds its power lookup with one
+``np.interp`` call.  The keys are held to the memo-free
+``dataclasses.asdict`` walk in :mod:`oracles.stage_keys` and to a
+pinned digest, the lookup to the per-weight loop in
+:mod:`oracles.array_power`.
 """
 
 import hashlib
@@ -33,18 +34,20 @@ from repro.experiments.sweep import (
 from repro.hw import HardwareBackend, list_backends
 from repro.power.characterization import WeightPowerTable
 from repro.systolic import ArrayPowerModel, MacPowerParams, SystolicConfig
+from repro.systolic import energy
 
 #: The backends registered by the package itself.
 BUILTIN_BACKENDS = ("nangate15-booth", "nangate15-array",
                     "nangate15-ripple", "scaled-45nm")
 
 #: sha256 over every stage key and point key of the points
-#: :func:`_accel_points` expands for the built-in backends, as the graph
-#: computed them before keys were memoized per runner.  A change that
-#: moves it orphans every cached artifact; only a deliberate stage
-#: version bump or graph rewiring may update it.
+#: :func:`_accel_points` expands for the built-in backends.  A change
+#: that moves it orphans every cached artifact; only a deliberate stage
+#: version bump or graph rewiring may update it.  Last moved by the
+#: shared ``accel_layers`` trace (``accel_schedule`` and ``accel_eval``
+#: version 2); every key upstream of it stayed as it was.
 PINNED_KEYS_DIGEST = (
-    "843c667a85f6b3e82b7dda79e4eee9ec3140f202513d98342c395e6dd7cc2de5")
+    "a3cf55a7a202d416f89c8959dd2960acb2f4c86661c5e385bcc40e8e7e51890a")
 
 
 def _accel_points(backend):
@@ -81,6 +84,35 @@ def test_accel_point_builds_no_netlist_or_library(smoke_cache_dir,
         assert first.skipped is None and not first.cached
         assert np.isfinite(first.metrics["energy_uj"])
         assert again.cached and again.metrics == first.metrics
+
+
+def test_accel_point_traces_nothing_and_counts_each_layer_once(
+        smoke_cache_dir, monkeypatch):
+    """Over a warm layer trace, two new geometries x both variants
+    rebuild no model, trace nothing, and count each layer's stationary
+    values once per geometry."""
+    config = pipeline_config(NETWORK_SPECS[0], "smoke")
+    runner = StageRunner(POWER_PRUNING_GRAPH, PipelineOps(config),
+                         ArtifactStore(smoke_cache_dir))
+    for stage in ("accel_layers", "power_table", "voltage_scaling"):
+        runner.get(stage)
+    n_layers = len(runner.get("accel_layers"))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an accel point rebuilt or traced the model")
+
+    monkeypatch.setattr(PipelineOps, "model_from_state", refuse)
+    monkeypatch.setattr(PipelineOps, "trace_layers", refuse)
+    calls = []
+    count = energy.schedule_value_counts
+    monkeypatch.setattr(energy, "schedule_value_counts",
+                        lambda *args: calls.append(1) or count(*args))
+    spec = make_sweep_spec("accel", networks=(NETWORK_SPECS[0],),
+                           scale="smoke", array_shapes=("44x12", "12x44"))
+    result = run_sweep(spec, jobs=1, cache_dir=smoke_cache_dir)
+    assert len(result.rows) == 4
+    assert not any(row.cached for row in result.rows)
+    assert len(calls) == 2 * n_layers
 
 
 def test_models_are_built_once_on_first_use():
@@ -152,7 +184,7 @@ def test_a_runner_keys_each_stage_once(monkeypatch):
         name = todo.pop()
         closure.add(name)
         todo.extend(POWER_PRUNING_GRAPH[name].deps)
-    assert len(closure) == 11
+    assert len(closure) == 12
     assert len(payloads) == len(closure)
 
 

@@ -422,6 +422,32 @@ class TestFinishedJobsLeaveMemory:
         assert stats["counters"]["jobs_done"] == 5
         assert manager._jobs == {}  # answering adopted nothing back
 
+    def test_summaries_unpickle_no_row(self, manager, echo_experiment,
+                                       monkeypatch):
+        """``list_jobs`` and ``status`` of done (fresh and served from
+        cache), partial and failed jobs equal the full rebuild's status
+        while loading rows is refused."""
+        bodies = (SPEC, SPEC, dict(SPEC, poison="threshold=900"),
+                  dict(SPEC, poison="fig8 point"))
+        job_ids = [_finish(manager, manager.submit_mapping(body))["job_id"]
+                   for body in bodies]
+        want = {record["job_id"]: manager._rebuild_job(record).status()
+                for record in manager.store.load_jobs()}
+        assert [want[job_id]["state"] for job_id in job_ids] == [
+            JobState.DONE, JobState.DONE, JobState.PARTIAL,
+            JobState.FAILED]
+        assert want[job_ids[1]]["points"]["cached"] == 2
+
+        def refuse(self, job_id):
+            raise AssertionError("a summary loaded rows")
+
+        monkeypatch.setattr(type(manager.store), "load_rows", refuse)
+        assert manager.list_jobs() == [want[job_id]
+                                       for job_id in job_ids[::-1]]
+        for job_id in job_ids:
+            assert manager.status(job_id) == want[job_id]
+        assert manager._jobs == {}
+
     def test_memory_does_not_grow_with_finished_jobs(self, manager,
                                                      echo_experiment):
         """200 finished echo jobs leave under 150 KB of Python objects
