@@ -166,15 +166,6 @@ class PowerPruner:
     # ------------------------------------------------------------------
     # helper stages (compatibility wrappers around the ops backend)
     # ------------------------------------------------------------------
-    def _log(self, message: str) -> None:
-        self.ops.log(message)
-
-    def _build_dataset(self):
-        return self.ops.build_dataset()
-
-    def _retrain_fn(self, dataset):
-        return self.ops.retrain_fn(dataset)
-
     def collect_statistics(self, model, dataset):
         """Run the network's hottest layers through the array, collecting
         the Fig. 4 transition statistics."""

@@ -20,7 +20,6 @@ from repro.experiments.config import (
 from repro.experiments.parallel import (
     ParallelTaskError,
     parallel_map,
-    run_table1_rows,
 )
 from repro.experiments.runner import ExperimentContext
 from repro.experiments.sweep import (
@@ -37,7 +36,6 @@ __all__ = [
     "ExperimentContext",
     "ParallelTaskError",
     "parallel_map",
-    "run_table1_rows",
     "SweepSpec",
     "SweepResult",
     "make_sweep_spec",

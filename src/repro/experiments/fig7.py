@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
+from repro.experiments import table1
 from repro.experiments.config import NETWORK_SPECS, NetworkSpec
-from repro.experiments.parallel import run_table1_rows
 from repro.hw import DEFAULT_BACKEND_ID
 from repro.power.estimator import PowerBreakdown
 
@@ -42,19 +42,21 @@ class Fig7Result:
 def run(scale: str = "ci",
         specs: Sequence[NetworkSpec] = NETWORK_SPECS,
         jobs: Optional[int] = 1, cache_dir=None,
-        backend: str = DEFAULT_BACKEND_ID) -> Fig7Result:
-    """Run the stage-graph pipeline per network, extract the stages.
+        backend=DEFAULT_BACKEND_ID) -> Fig7Result:
+    """Run the Table I sweep and extract each row's stages.
 
     With a shared ``cache_dir`` this reuses any Table I run's
     artifacts wholesale; ``jobs`` fans the networks out across
-    processes.
+    processes.  ``backend`` is a registry id or a
+    :class:`~repro.hw.HardwareBackend` spec.
     """
-    reports = run_table1_rows(specs, scale=scale, jobs=jobs,
-                              cache_dir=cache_dir, backend=backend)
+    result = table1.run_result(scale, specs=specs, jobs=jobs,
+                               cache_dir=cache_dir, backend=backend)
     bars: Dict[str, List[Fig7Bar]] = {}
-    for spec, report in zip(specs, reports):
+    for row in result.rows:
+        report = row.payload
         pruned = report.extras["pruned"]
-        bars[spec.label] = [
+        bars[row.network] = [
             Fig7Bar("Baseline", report.power_opt_orig,
                     report.accuracy_orig),
             Fig7Bar("Pruned", pruned["power_opt"], pruned["accuracy"]),

@@ -38,17 +38,14 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple, \
     TypeVar, Union
 
 from repro.core.ladder import share_cores, shippable_exception
-from repro.core.report import PowerPruningReport
 from repro.cpus import usable_cores
-from repro.experiments.config import NETWORK_SPECS, NetworkSpec
-from repro.hw import DEFAULT_BACKEND_ID, HardwareBackend, get_backend
 
 T = TypeVar("T")
 R = TypeVar("R")
 
 __all__ = ["default_jobs", "parallel_map", "parallel_map_outcomes",
            "ParallelTaskError", "TaskFailure", "TaskOutcome",
-           "RowTask", "run_table1_rows", "retry_backoff_delay"]
+           "retry_backoff_delay"]
 
 
 class ParallelTaskError(RuntimeError):
@@ -410,64 +407,3 @@ def parallel_map_outcomes(fn: Callable[[T], R], items: Sequence[T],
             wrapped.append(TaskOutcome(index=index, value=outcome[1]))
     return wrapped
 
-
-def _backend_spec(backend) -> HardwareBackend:
-    """Resolve an id-or-spec to a spec for shipping to workers.
-
-    Tasks carry the full :class:`HardwareBackend` rather than its id:
-    under a spawn start method workers re-import the registry with
-    built-ins only, so a user-registered backend would be unknown
-    there — the spec travels with the task and is re-registered on the
-    worker side (see :func:`repro.hw.resolve_backend_id`).  Unknown
-    ids fail here, in the parent, before any worker is spawned.
-    """
-    if isinstance(backend, HardwareBackend):
-        return backend
-    return get_backend(backend)
-
-
-@dataclass(frozen=True)
-class RowTask:
-    """One Table I row's worth of work, picklable for worker dispatch."""
-
-    spec: NetworkSpec
-    scale: str = "ci"
-    seed: int = 0
-    cache_dir: Optional[str] = None
-    verbose: bool = False
-    backend: Optional[HardwareBackend] = None
-
-    def describe(self) -> str:
-        backend = (self.backend.backend_id if self.backend is not None
-                   else DEFAULT_BACKEND_ID)
-        return (f"table1 row {self.spec.label} "
-                f"[scale={self.scale} seed={self.seed} "
-                f"backend={backend}]")
-
-
-def _run_row(task: RowTask) -> PowerPruningReport:
-    from repro.experiments.runner import ExperimentContext
-
-    context = ExperimentContext(task.spec, task.scale, seed=task.seed,
-                                verbose=task.verbose,
-                                cache_dir=task.cache_dir,
-                                backend=task.backend)
-    return context.report()
-
-
-def run_table1_rows(specs: Sequence[NetworkSpec] = NETWORK_SPECS,
-                    scale: str = "ci", seed: int = 0,
-                    jobs: Optional[int] = 1,
-                    cache_dir=None,
-                    verbose: bool = False,
-                    backend=DEFAULT_BACKEND_ID
-                    ) -> List[PowerPruningReport]:
-    """Full-pipeline reports for ``specs``, optionally across processes.
-
-    ``backend`` accepts a registry id or a ``HardwareBackend`` spec.
-    """
-    cache = str(cache_dir) if cache_dir is not None else None
-    spec_backend = _backend_spec(backend)
-    tasks = [RowTask(spec, scale, seed, cache, verbose, spec_backend)
-             for spec in specs]
-    return parallel_map(_run_row, tasks, jobs=jobs)

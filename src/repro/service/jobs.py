@@ -18,8 +18,11 @@ Durability and fleet semantics are first-class:
   served as before and interrupted jobs are re-queued and resume from
   the journal (recorded rows replayed, remaining points recomputed
   through the warm cache);
-* only unfinished jobs live in memory: once a job's terminal state is
-  journaled, every query reads it back from the journal, so a
+* the journal is the only job state: ``get``, ``status``,
+  ``list_jobs``, ``result`` and ``wait`` read every job, finished or
+  not, back from it, so a sibling worker's progress shows as soon as
+  it commits (``wait`` re-reads the journal every 0.1 s, and a job this
+  manager finishes wakes its local waiters at once), and a
   long-running service does not grow with the jobs it has served;
 * jobs are claimed through a lease (worker id + heartbeat deadline):
   any number of ``repro serve --worker`` processes pointed at the same
@@ -49,7 +52,6 @@ import csv
 import io
 import os
 import pickle
-import queue
 import random
 import signal
 import socket
@@ -177,8 +179,6 @@ class ExperimentJob:
     precached: int = 0
     #: Job-level crash (not a per-point failure), e.g. a config bug.
     error: Optional[str] = None
-    finished: threading.Event = field(default_factory=threading.Event,
-                                      repr=False)
 
     @property
     def n_done(self) -> int:
@@ -242,12 +242,6 @@ class ExperimentJob:
             snapshot["error"] = self.error
         return snapshot
 
-    def sweep_result(self) -> SweepResult:
-        """The surviving rows as a normal :class:`SweepResult`."""
-        return SweepResult(sweep=self.spec,
-                           rows=[row for row in self.rows
-                                 if row is not None])
-
 
 def records_to_csv(records: Sequence[Mapping[str, Any]]) -> str:
     """Tidy/aggregated records as CSV text (union of all columns)."""
@@ -266,6 +260,12 @@ def records_to_csv(records: Sequence[Mapping[str, Any]]) -> str:
 def _default_worker_id() -> str:
     return (f"{socket.gethostname()}-{os.getpid()}-"
             f"{uuid.uuid4().hex[:6]}")
+
+
+#: How often :meth:`JobManager.wait` re-reads the journal.  That is how
+#: a waiter sees a job a sibling worker runs; a job this manager
+#: finishes wakes its waiters as soon as its terminal state commits.
+_WAIT_REREAD_S = 0.1
 
 
 class JobManager:
@@ -364,12 +364,12 @@ class JobManager:
                                  / "service-jobs.sqlite3")
         self.store = JobStore(store_path)
 
-        self._lock = threading.Lock()
-        #: Unfinished jobs: submitted here, resumed, or adopted from a
-        #: sibling's journal.  A job leaves once its terminal state is
-        #: journaled (or a sync sees a sibling journal it).
-        self._jobs: Dict[str, ExperimentJob] = {}
-        self._queue: "queue.Queue[Optional[str]]" = queue.Queue()
+        #: Guards the counters and the health window, and carries both
+        #: wake-ups: ``_wake`` tells the drain thread a job may be
+        #: claimable, ``_last_finished`` tells waiters which job this
+        #: manager just journaled as terminal.
+        self._cond = threading.Condition()
+        self._last_finished: Optional[str] = None
         #: Job id this manager's drain thread is currently running.
         self._active: Optional[str] = None
         #: Leases the heartbeat failed to renew (stolen after expiry).
@@ -381,16 +381,15 @@ class JobManager:
         self._stop = threading.Event()
 
         # Crash recovery: terminal jobs are served from the journal
-        # exactly as before the restart; interrupted ones are rebuilt,
-        # stay claimable (their dead owner's lease expires) and resume
-        # from the journal.
-        self.resumed_jobs: List[str] = []
+        # exactly as before the restart; interrupted ones stay
+        # claimable (their dead owner's lease expires) and resume from
+        # the journal.
         records = self.store.load_jobs()
-        for record in records:
-            if record["state"] not in JobState.TERMINAL:
-                self._jobs[record["job_id"]] = self._rebuild_job(record)
-                self.resumed_jobs.append(record["job_id"])
+        self.resumed_jobs: List[str] = [
+            record["job_id"] for record in records
+            if record["state"] not in JobState.TERMINAL]
         self.recovered_jobs = len(records)
+        self._wake = bool(self.resumed_jobs)  # drain them promptly
 
         self._worker = threading.Thread(target=self._worker_loop,
                                         name="repro-service-worker",
@@ -400,8 +399,6 @@ class JobManager:
             target=self._heartbeat_loop,
             name="repro-service-heartbeat", daemon=True)
         self._heartbeat.start()
-        for job_id in self.resumed_jobs:
-            self._queue.put(job_id)  # wake the drain thread promptly
 
     # ------------------------------------------------------------------
     # submission
@@ -469,140 +466,53 @@ class JobManager:
             crash_after_points=crash_after_points,
             lease_drop=lease_drop,
         )
-        job.rows = [None] * len(points)
         # Journal the submission *before* acknowledging it: a crash
-        # between here and the queue loses nothing — recovery (or any
+        # between here and the wake-up loses nothing — recovery (or any
         # fleet worker polling the store) picks the job up.
         self.store.create_job(
             job.job_id, job.created_at,
             pickle.dumps((spec, tuple(points)),
                          protocol=pickle.HIGHEST_PROTOCOL),
             job.knobs())
-        with self._lock:
-            self._jobs[job.job_id] = job
+        with self._cond:
             self._stats["jobs_submitted"] += 1
-        self._queue.put(job.job_id)
+            self._wake = True
+            self._cond.notify_all()
         return job.status()
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
     def get(self, job_id: str) -> Optional[ExperimentJob]:
-        """The job ``job_id``; ``None`` if the journal has no such job.
-
-        An unfinished job is the live object, adopted into memory when
-        a sibling node sharing the journal submitted it.  A finished
-        job is rebuilt from the journal on every call and never
-        adopted back.
-        """
-        with self._lock:
-            job = self._jobs.get(job_id)
-        if job is not None:
-            return job
+        """A snapshot of job ``job_id`` rebuilt from the journal, rows
+        included, finished or not; ``None`` if there is no such job."""
         record = self.store.load_job(job_id)
-        return None if record is None else self._adopt(record)
-
-    def _adopt(self, record: Dict[str, Any]) -> ExperimentJob:
-        """A journaled job rebuilt with its rows; adopted into memory
-        only while unfinished."""
-        job = self._rebuild_job(record)
-        if job.state in JobState.TERMINAL:
-            return job
-        with self._lock:
-            return self._jobs.setdefault(job.job_id, job)
+        return None if record is None else self._rebuild_job(record)
 
     def _journal_status(self, record: Dict[str, Any],
                         counts: Dict[str, Tuple[int, int]]
                         ) -> Dict[str, Any]:
-        """Status of a job not held in memory, from its record, its
-        row counts and its failures; no row is unpickled."""
+        """A job's status from its record, its row counts and its
+        failures; no row is unpickled."""
         job = self._rebuild_job(record, with_rows=False)
         done, job.cached = counts.get(job.job_id, (0, 0))
         return job.status(done=done)
 
-    def _sync_from_store(self, job: ExperimentJob) -> None:
-        """Refresh a job some *other* worker is (or was) running.
-
-        Reads first (store locks only), then merges under the manager
-        lock; recorded rows are replayed into empty slots only, so a
-        local runner and a refresh can never fight over a slot.
-        """
-        record = self.store.load_job(job.job_id)
-        if record is None:  # pragma: no cover - defensive
-            return
-        rows = self.store.load_rows(job.job_id)
-        failures = self.store.load_failures(job.job_id)
-        with self._lock:
-            if job.state in JobState.TERMINAL:
-                return
-            cached = 0
-            for index, (blob, was_cached) in rows.items():
-                if job.rows[index] is None:
-                    job.rows[index] = pickle.loads(blob)
-                cached += 1 if was_cached else 0
-            for index, failure in failures.items():
-                if job.rows[index] is None:
-                    job.failures.setdefault(index, failure)
-            job.cached = cached
-            job.state = record["state"]
-            job.worker = record["worker"] or job.worker
-            job.started_at = record["started_at"] or job.started_at
-            job.finished_at = record["finished_at"]
-            job.error = record["error"]
-            job.precached = max(job.precached, record["precached"])
-            job.retries = max(job.retries, record["retries"])
-            if job.state in JobState.TERMINAL:
-                self._forget(job)
-                job.finished.set()
-
-    def _maybe_sync(self, job: ExperimentJob) -> None:
-        if job.state not in JobState.TERMINAL \
-                and self._active != job.job_id:
-            self._sync_from_store(job)
-
-    def _forget(self, job: ExperimentJob) -> None:
-        """Drop a journaled-terminal job from memory; caller holds the
-        lock.  Holders of the object keep a complete, finished job."""
-        if self._jobs.get(job.job_id) is job:
-            del self._jobs[job.job_id]
-
     def status(self, job_id: str) -> Optional[Dict[str, Any]]:
-        """A job's status; a finished one is summarized from the
-        journal without loading its rows."""
-        with self._lock:
-            job = self._jobs.get(job_id)
-        if job is None:
-            record = self.store.load_job(job_id)
-            if record is None:
-                return None
-            if record["state"] in JobState.TERMINAL:
-                return self._journal_status(
-                    record, self.store.row_counts(job_id))
-            job = self._adopt(record)
-        self._maybe_sync(job)
-        with self._lock:
-            return job.status()
+        """A job's status, summarized from the journal without loading
+        its rows."""
+        record = self.store.load_job(job_id)
+        if record is None:
+            return None
+        return self._journal_status(record, self.store.row_counts(job_id))
 
     def list_jobs(self) -> List[Dict[str, Any]]:
-        """Newest-first summaries of every journaled job.
-
-        Jobs held in memory report their live state; the rest are
-        summarized from the journal, with one row-count query for the
-        whole listing, and not adopted.
-        """
+        """Newest-first summaries of every journaled job, with one
+        row-count query for the whole listing."""
         records = self.store.load_jobs()
         counts = self.store.row_counts()
-        statuses = []
-        for record in reversed(records):
-            with self._lock:
-                job = self._jobs.get(record["job_id"])
-            if job is None:
-                statuses.append(self._journal_status(record, counts))
-                continue
-            self._maybe_sync(job)
-            with self._lock:
-                statuses.append(job.status())
-        return statuses
+        return [self._journal_status(record, counts)
+                for record in reversed(records)]
 
     def result(self, job_id: str,
                aggregated: bool = False) -> Optional[Dict[str, Any]]:
@@ -612,26 +522,23 @@ class JobManager:
         a dict whose only keys are ``state`` and ``job_id`` — the HTTP
         layer maps that to 409.
 
-        The row snapshot is taken under the manager lock but the
-        (potentially large) tidy/aggregate serialization runs
-        *outside* it, so a client downloading a big terminal grid
-        never blocks concurrent submits and status polls.
+        The rows are read from the journal under the store's lock only;
+        the (potentially large) tidy/aggregate serialization holds no
+        lock, so a client downloading a big terminal grid never blocks
+        concurrent submits and status polls.
         """
-        job = self.get(job_id)
-        if job is None:
+        record = self.store.load_job(job_id)
+        if record is None:
             return None
-        self._maybe_sync(job)
-        with self._lock:
-            if job.state not in JobState.TERMINAL:
-                return {"job_id": job.job_id, "state": job.state}
-            state = job.state
-            rows = [row for row in job.rows if row is not None]
-            failures = [job.failures[index]
-                        for index in sorted(job.failures)]
+        if record["state"] not in JobState.TERMINAL:
+            return {"job_id": job_id, "state": record["state"]}
+        job = self._rebuild_job(record)
+        rows = [row for row in job.rows if row is not None]
+        failures = [job.failures[index] for index in sorted(job.failures)]
         result = SweepResult(sweep=job.spec, rows=rows)
         payload: Dict[str, Any] = {
             "job_id": job.job_id,
-            "state": state,
+            "state": job.state,
             "n_rows": len(rows),
             "n_failed": len(failures),
             "rows": result.tidy(),
@@ -648,26 +555,27 @@ class JobManager:
 
         Returns ``True`` once terminal, ``False`` on timeout and —
         matching :meth:`status` / :meth:`result` — ``None`` for an
-        unknown id (it never raises).  Jobs run by a sibling worker
-        are observed through the shared store.
+        unknown id (it never raises).  The journal is re-read every
+        ``_WAIT_REREAD_S`` seconds, so a job a sibling worker runs is
+        observed too; a job this manager finishes returns at once.
         """
-        job = self.get(job_id)
-        if job is None:
-            return None
         deadline = (None if timeout is None
                     else time.monotonic() + timeout)
         while True:
-            step = 0.1
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return job.finished.is_set()
-                step = min(step, remaining)
-            if job.finished.wait(step):
+            record = self.store.load_job(job_id)
+            if record is None:
+                return None
+            if record["state"] in JobState.TERMINAL:
                 return True
-            self._maybe_sync(job)
-            if job.finished.is_set():
-                return True
+            with self._cond:
+                step = _WAIT_REREAD_S
+                if deadline is not None:
+                    step = min(step, deadline - time.monotonic())
+                    if step <= 0:
+                        return False
+                if self._cond.wait_for(
+                        lambda: self._last_finished == job_id, step):
+                    return True
 
     def stats(self) -> Dict[str, Any]:
         """Service-level counters for ``GET /healthz``.
@@ -675,7 +583,7 @@ class JobManager:
         ``jobs`` counts every journaled job by state.
         """
         by_state = self.store.count_states()
-        with self._lock:
+        with self._cond:
             return {
                 "uptime_s": round(time.time() - self.started_at, 3),
                 "cache_dir": self.cache_dir,
@@ -700,7 +608,7 @@ class JobManager:
         degraded forever.  Lifetime totals stay in :meth:`stats`.
         """
         now = time.time()
-        with self._lock:
+        with self._cond:
             recent = [state for ts, state in self._recent_outcomes
                       if now - ts <= self.health_window_s]
         recent_failed = sum(1 for state in recent
@@ -754,8 +662,6 @@ class JobManager:
                 cached += 1 if was_cached else 0
             job.cached = cached
         job.failures = self.store.load_failures(job.job_id)
-        if job.state in JobState.TERMINAL:
-            job.finished.set()
         return job
 
     # ------------------------------------------------------------------
@@ -763,12 +669,10 @@ class JobManager:
     # ------------------------------------------------------------------
     def _worker_loop(self) -> None:
         while True:
-            try:
-                token = self._queue.get(timeout=self.poll_interval_s)
-                if token is None:
-                    return
-            except queue.Empty:
-                pass
+            with self._cond:
+                self._cond.wait_for(lambda: self._wake,
+                                    self.poll_interval_s)
+                self._wake = False
             if self._closed:
                 return
             self._drain()
@@ -784,11 +688,14 @@ class JobManager:
             if claim is None:
                 return
             self._lost_leases.discard(claim.job_id)
-            job = self.get(claim.job_id)
-            if job is None or job.state in JobState.TERMINAL:
+            record = self.store.load_job(claim.job_id)
+            if record is None or record["state"] in JobState.TERMINAL:
                 # A sibling finished it between our SELECT and now.
                 self.store.release_lease(claim.job_id, self.worker_id)
                 continue
+            # The claimed job is rebuilt from the journal and lives
+            # only in this thread until its terminal state is journaled.
+            job = self._rebuild_job(record)
             self._active = claim.job_id
             try:
                 self._run_job(job, resumed=claim.reclaimed)
@@ -799,9 +706,8 @@ class JobManager:
             except Exception as error:
                 # A job-level crash must never kill the drain thread;
                 # the job reports it and the queue moves on.
-                with self._lock:
-                    job.error = f"{type(error).__name__}: {error}"
-                    self._finalize(job)
+                job.error = f"{type(error).__name__}: {error}"
+                self._finalize(job)
             finally:
                 self._active = None
 
@@ -834,18 +740,16 @@ class JobManager:
 
     def _record_row(self, job: ExperimentJob, index: int,
                     row: SweepRow) -> None:
-        with self._lock:
-            if job.rows[index] is not None:
-                return
-            job.rows[index] = row
-            job.failures.pop(index, None)
+        if job.rows[index] is not None:
+            return
+        job.rows[index] = row
+        job.failures.pop(index, None)
+        with self._cond:
             self._stats["points_done"] += 1
             if row.cached:
-                job.cached += 1
                 self._stats["points_cached"] += 1
-        # Journal outside the lock (pickling a big payload must not
-        # block status polls), but strictly *before* the chaos crash:
-        # a journaled row is durable even against the SIGKILL below.
+        # Journal strictly *before* the chaos crash: a journaled row is
+        # durable even against the SIGKILL below.
         self.store.record_row(
             job.job_id, index,
             pickle.dumps(row, protocol=pickle.HIGHEST_PROTOCOL),
@@ -857,29 +761,25 @@ class JobManager:
 
     def _record_failure(self, job: ExperimentJob, index: int,
                         failure: TaskFailure, attempts: int) -> None:
-        with self._lock:
-            if job.rows[index] is not None:
-                return
-            record = {
-                "point": job.points[index].describe(),
-                "kind": failure.kind,
-                "attempts": attempts,
-                "error": (f"{type(failure.error).__name__}: "
-                          f"{failure.error}"
-                          if failure.error is not None
-                          else failure.summary()),
-            }
-            job.failures[index] = record
+        if job.rows[index] is not None:
+            return
+        record = {
+            "point": job.points[index].describe(),
+            "kind": failure.kind,
+            "attempts": attempts,
+            "error": (f"{type(failure.error).__name__}: {failure.error}"
+                      if failure.error is not None
+                      else failure.summary()),
+        }
+        job.failures[index] = record
+        with self._cond:
             self._stats["points_failed"] += 1
         self.store.record_failure(job.job_id, index, record)
 
     def _run_job(self, job: ExperimentJob, resumed: bool = False
                  ) -> None:
-        with self._lock:
-            job.state = JobState.RUNNING
-            if job.started_at is None:
-                job.started_at = time.time()
-            job.worker = self.worker_id
+        if job.started_at is None:
+            job.started_at = time.time()
         self.store.mark_running(job.job_id, job.started_at,
                                 self.worker_id, resumed=resumed)
 
@@ -891,8 +791,6 @@ class JobManager:
             if point_cache_key(point,
                                point_config(point, job.char_jobs))
             in probe)
-        with self._lock:
-            job.precached = precached
         self.store.set_precached(job.job_id, precached)
 
         deadline = (None if job.timeout_s is None
@@ -939,8 +837,8 @@ class JobManager:
             if not retriable:
                 break
             attempt += 1
-            with self._lock:
-                job.retries += len(retriable)
+            job.retries += len(retriable)
+            with self._cond:
                 self._stats["point_retries"] += len(retriable)
             self.store.record_retry_wave(job.job_id, job.retries,
                                          len(retriable), attempt)
@@ -950,32 +848,29 @@ class JobManager:
                 time.sleep(delay)
             pending = retriable
 
-        with self._lock:
-            self._finalize(job)
+        self._finalize(job)
 
     def _finalize(self, job: ExperimentJob) -> None:
-        """Terminal-state bookkeeping; caller holds the lock."""
+        """Journal the job's terminal state, then wake its waiters."""
         if job.error is not None or job.n_done == 0:
             job.state = JobState.FAILED
-            self._stats["jobs_failed"] += 1
         elif job.failures:
             job.state = JobState.PARTIAL
-            self._stats["jobs_partial"] += 1
         else:
             job.state = JobState.DONE
-            self._stats["jobs_done"] += 1
         job.finished_at = time.time()
-        self._recent_outcomes.append((job.finished_at, job.state))
+        with self._cond:
+            self._stats[f"jobs_{job.state}"] += 1
+            self._recent_outcomes.append((job.finished_at, job.state))
         try:
             self.store.finish_job(job.job_id, job.state,
                                   job.finished_at, job.error,
                                   job.retries, self.worker_id)
         except Exception:  # pragma: no cover - store closed mid-stop
-            pass
-        else:
-            # Journaled: from here on queries read the job from there.
-            self._forget(job)
-        job.finished.set()
+            return
+        with self._cond:
+            self._last_finished = job.job_id
+            self._cond.notify_all()
 
     def shutdown(self, wait: bool = True,
                  timeout: Optional[float] = 30.0) -> None:
@@ -985,7 +880,9 @@ class JobManager:
             return
         self._closed = True
         self._stop.set()
-        self._queue.put(None)
+        with self._cond:
+            self._wake = True
+            self._cond.notify_all()
         if wait:
             self._worker.join(timeout)
         active = self._active

@@ -11,7 +11,7 @@ from repro.experiments.config import (
     pipeline_config,
 )
 from repro.experiments.runner import ExperimentContext
-from repro.experiments import fig2, fig3, fig4, table1
+from repro.experiments import fig2, fig3, fig4, fig7, table1
 
 
 class TestScaleConfig:
@@ -124,3 +124,19 @@ class TestFigureRuns:
         summary = result4.summary()
         assert summary["act_diagonal_mass_16"] > 0.2
         assert result4.psum_binned.distribution.n_codes == 50
+
+    def test_fig7_bars_are_the_table1_row(self, smoke_cache_dir):
+        lenet5 = NETWORK_SPECS[0]
+        result = fig7.run("smoke", specs=(lenet5,),
+                          cache_dir=smoke_cache_dir)
+        (report,) = table1.run("smoke", specs=(lenet5,),
+                               cache_dir=smoke_cache_dir)
+        bars = {bar.stage: bar for bar in result.bars[lenet5.label]}
+        assert list(bars) == ["Baseline", "Pruned", "Proposed"]
+        assert bars["Baseline"].power == report.power_opt_orig
+        assert bars["Baseline"].accuracy == report.accuracy_orig
+        assert bars["Proposed"].power == report.power_opt_prop_vs
+        assert bars["Proposed"].accuracy == report.accuracy_prop
+        pruned = report.extras["pruned"]
+        assert bars["Pruned"].power == pruned["power_opt"]
+        assert bars["Pruned"].accuracy == pruned["accuracy"]

@@ -15,6 +15,7 @@ import json
 import multiprocessing
 import os
 import pickle
+import sys
 import threading
 import time
 import tracemalloc
@@ -25,6 +26,7 @@ import pytest
 
 from repro.experiments import sweep as sweep_mod
 from repro.service import JobManager, JobState, records_to_csv
+from repro.service import jobs as jobs_mod
 from repro.service.jobs import JOB_ONLY_KEYS
 
 _FORK = multiprocessing.get_start_method(allow_none=False) == "fork"
@@ -394,14 +396,13 @@ class TestResultSerialization:
 
 
 class TestFinishedJobsLeaveMemory:
-    """Only unfinished jobs live in memory; finished ones are read
-    back from the journal by every query, without being adopted."""
+    """The journal is the only job state: every query reads a job
+    back from it, finished or not, and nothing stays behind per job."""
 
     def test_queries_answer_finished_jobs_from_the_journal(
             self, manager, echo_experiment):
         job_ids = [_finish(manager, manager.submit_mapping(
             dict(SPEC, seeds=[seed])))["job_id"] for seed in range(5)]
-        assert manager._jobs == {}
         assert [status["job_id"] for status in manager.list_jobs()] \
             == job_ids[::-1]
         for seed, job_id in enumerate(job_ids):
@@ -420,7 +421,6 @@ class TestFinishedJobsLeaveMemory:
         stats = manager.stats()
         assert stats["jobs"] == {JobState.DONE: 5}
         assert stats["counters"]["jobs_done"] == 5
-        assert manager._jobs == {}  # answering adopted nothing back
 
     def test_summaries_unpickle_no_row(self, manager, echo_experiment,
                                        monkeypatch):
@@ -446,7 +446,6 @@ class TestFinishedJobsLeaveMemory:
                                        for job_id in job_ids[::-1]]
         for job_id in job_ids:
             assert manager.status(job_id) == want[job_id]
-        assert manager._jobs == {}
 
     def test_memory_does_not_grow_with_finished_jobs(self, manager,
                                                      echo_experiment):
@@ -467,10 +466,10 @@ class TestFinishedJobsLeaveMemory:
         assert manager.stats()["jobs"] == {JobState.DONE: 205}
         assert grown < 150_000, f"{grown} bytes kept by 200 jobs"
 
-    def test_adopted_sibling_job_is_dropped_once_it_finishes(
+    def test_observer_sees_a_sibling_job_through_the_journal(
             self, tmp_path, monkeypatch):
-        """A job a sibling runs is adopted while unfinished and dropped
-        once a sync sees its terminal state in the journal."""
+        """A manager that never claims follows a job a sibling runs
+        through ``get``, ``wait``, ``status`` and ``result``."""
         monkeypatch.setitem(sweep_mod._POINT_RUNNERS, "fig8",
                             _slow_runner)
         cache = str(tmp_path / "cache")
@@ -484,13 +483,17 @@ class TestFinishedJobsLeaveMemory:
             job_id = runner.submit_mapping(SPEC)["job_id"]
             job = observer.get(job_id)
             assert job.state not in JobState.TERMINAL
-            assert observer._jobs == {job_id: job}
+            assert observer.result(job_id)["state"] \
+                not in JobState.TERMINAL
             assert observer.wait(job_id, timeout=30)
+            job = observer.get(job_id)
             assert job.state == JobState.DONE
-            assert observer._jobs == {}
+            assert job.worker == "runner"
+            assert [row.metrics["accuracy"] for row in job.rows] \
+                == [0.0, 900.0]
+            assert observer.status(job_id) == runner.status(job_id)
             assert observer.status(job_id)["points"]["done"] == 2
             assert observer.result(job_id)["n_rows"] == 2
-            assert observer._jobs == {}
             assert runner.store.count_events(job_id, "claimed") == 1
             assert runner.store.journal_events(
                 job_id, event="claimed")[0]["detail"]["worker"] \
@@ -498,6 +501,70 @@ class TestFinishedJobsLeaveMemory:
         finally:
             runner.shutdown()
             observer.shutdown()
+
+
+class TestWakeUps:
+    """Neither the drain thread's wake-up nor a waiter's is lost: 20
+    closed-loop jobs each finish well inside ``wait(timeout=10)``."""
+
+    def _closed_loop(self, mgr):
+        for seed in range(20):
+            job_id = mgr.submit_mapping(dict(SPEC, seeds=[seed]))["job_id"]
+            start = time.monotonic()
+            assert mgr.wait(job_id, timeout=10), f"job {seed} lost"
+            # A lost wake-up would end the wait at its timeout.
+            assert time.monotonic() - start < 5.0, f"job {seed} stalled"
+            assert mgr.status(job_id)["state"] == JobState.DONE
+
+    def test_submission_wakes_the_drain_thread(self, tmp_path,
+                                               echo_experiment):
+        # With a 600 s poll only the submission's wake-up drains a job.
+        mgr = JobManager(cache_dir=str(tmp_path / "cache"),
+                         poll_interval_s=600)
+        try:
+            self._closed_loop(mgr)
+        finally:
+            mgr.shutdown()
+
+    def test_finished_job_wakes_its_waiter(self, manager, echo_experiment,
+                                           monkeypatch):
+        # With a 30 s journal re-read only the drain thread's
+        # notification ends a wait early.
+        monkeypatch.setattr(jobs_mod, "_WAIT_REREAD_S", 30.0)
+        self._closed_loop(manager)
+
+    def test_concurrent_clients_lose_no_job_or_count(self, manager,
+                                                     echo_experiment):
+        """Four closed-loop clients (more threads than cores) with a
+        short switch interval: every job finishes and every submission
+        and completion is counted once."""
+        errors = []
+
+        def client(first_seed):
+            try:
+                for seed in range(first_seed, first_seed + 5):
+                    job_id = manager.submit_mapping(
+                        dict(SPEC, seeds=[seed]))["job_id"]
+                    assert manager.wait(job_id, timeout=10), job_id
+            except Exception as error:  # reported below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=client, args=(seed,))
+                       for seed in range(0, 20, 5)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        counters = manager.stats()["counters"]
+        assert counters["jobs_submitted"] == counters["jobs_done"] == 20
+        assert counters["points_done"] == 40
 
 
 class TestCsv:

@@ -15,6 +15,7 @@ The guarantees these pin down (the whole point of the job store):
 """
 
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -42,6 +43,11 @@ def _echo_runner(point, context):
 
 def _slow_runner(point, context):
     time.sleep(0.15)
+    return _echo_runner(point, context)
+
+
+def _soak_runner(point, context):
+    time.sleep(0.01)
     return _echo_runner(point, context)
 
 
@@ -374,3 +380,67 @@ class TestChaosCacheEndToEnd:
             assert mgr.result(job_id)["n_rows"] == 6
         finally:
             mgr.shutdown()
+
+
+class TestSeededSoak:
+    """Two managers share one journal over ``chaos://`` storage; one is
+    shut down mid-run and replaced by a fresh one on the same journal."""
+
+    def test_every_job_ends_once_and_both_managers_agree(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setitem(sweep_mod._POINT_RUNNERS, "fig8",
+                            _soak_runner)
+        rng = random.Random(2511)
+        cache = (f"chaos://{tmp_path}/cache"
+                 f"?read=0.2&write=0.2&corrupt=0.1&seed=7")
+        store_path = str(tmp_path / "jobs.sqlite3")
+
+        def start(worker_id, seed):
+            return JobManager(cache_dir=cache, store_path=store_path,
+                              worker_id=worker_id, retry_backoff_s=0.01,
+                              lease_s=2.0, poll_interval_s=0.05,
+                              retry_jitter_seed=seed)
+
+        managers = [start("w1", 1), start("w2", 2)]
+        try:
+            knobs = {}
+            for n in range(30):
+                body = dict(SPEC, thresholds=[None, 900.0, 1800.0],
+                            seeds=[n % 10],
+                            max_retries=rng.randint(0, 2))
+                roll = rng.random()
+                if roll < 0.2:
+                    body["poison"] = "threshold=900"
+                elif roll < 0.3:
+                    body["poison"] = "fig8 point"
+                elif roll < 0.6:
+                    body["lease_drop"] = rng.randint(1, 2)
+                job_id = managers[n % 2].submit_mapping(body)["job_id"]
+                knobs[job_id] = body
+                if n == 15:  # replace w1 while jobs are still queued
+                    managers[0].shutdown()
+                    managers[0] = start("w3", 3)
+
+            for mgr in managers:
+                for job_id in knobs:
+                    assert mgr.wait(job_id, timeout=30), job_id
+                    assert mgr.status(job_id)["state"] \
+                        in JobState.TERMINAL
+
+            store = managers[1].store
+            for job_id, body in knobs.items():
+                status = managers[1].status(job_id)
+                done = [event["detail"]["index"] for event in
+                        store.journal_events(job_id, event="point_done")]
+                # One point_done record per journaled row, none twice.
+                assert sorted(done) == sorted(store.load_rows(job_id))
+                assert len(done) == status["points"]["done"]
+                expected = {None: 3, "threshold=900": 2, "fig8 point": 0}
+                assert status["points"]["done"] \
+                    == expected[body.get("poison")]
+                assert store.count_events(job_id, "lease_dropped") \
+                    == body.get("lease_drop", 0)
+            assert managers[0].list_jobs() == managers[1].list_jobs()
+        finally:
+            for mgr in managers:
+                mgr.shutdown()
