@@ -6,7 +6,9 @@ values; the original implementation (kept as an oracle in
 ``tests/oracles/array_power.py``) loops over tiles and fancy-indexes
 the per-PE dynamic LUT per tile.  This benchmark pits the two against
 each other on realistic pruned layer shapes across several array
-geometries, asserting before timing anything that
+geometries.  The reference's tile objects are built once, outside the
+timed region, so it pays for its loop and not for listing the grid.
+Before timing anything it asserts that
 
 * the one-shot bincount and the oracle's per-tile counting loop produce
   **bit-equal** :class:`~repro.systolic.energy.ScheduleCounts` (the
@@ -85,7 +87,7 @@ def synthetic_table(rng: np.random.Generator) -> WeightPowerTable:
 
 
 def build_cases(rng: np.random.Generator):
-    """(config, model, schedule, weights) per geometry x layer shape."""
+    """(model, schedule, weights, tiles) per geometry x layer shape."""
     table = synthetic_table(rng)
     cases = []
     for size in GEOMETRIES:
@@ -94,8 +96,9 @@ def build_cases(rng: np.random.Generator):
         for k, n, m in WORKLOADS:
             weights = rng.integers(-127, 128, (k, n))
             weights[rng.random(weights.shape) < 0.5] = 0  # pruned net
-            cases.append((config, model,
-                          schedule_matmul(k, n, m, config), weights))
+            schedule = schedule_matmul(k, n, m, config)
+            cases.append((model, schedule, weights,
+                          oracle.tiles_of(schedule)))
     return cases
 
 
@@ -103,7 +106,7 @@ def verify(cases) -> float:
     """Bit-equality and oracle agreement; returns the worst relative
     deviation against the reference."""
     worst = 0.0
-    for __, model, schedule, weights in cases:
+    for model, schedule, weights, tiles in cases:
         fast = schedule_value_counts(schedule, weights)
         slow = oracle.schedule_value_counts_loop(schedule, weights)
         assert np.array_equal(fast.weight_counts, slow.weight_counts)
@@ -117,7 +120,7 @@ def verify(cases) -> float:
                                            variant)
             assert vec == loop, "vectorized != per-tile counting loop"
             ref = oracle.layer_power_reference(model, schedule, weights,
-                                               variant)
+                                               variant, tiles=tiles)
             for got, want in ((vec.dynamic_uw, ref.dynamic_uw),
                               (vec.leakage_uw, ref.leakage_uw)):
                 assert np.isclose(got, want, rtol=1e-9), \
@@ -129,17 +132,17 @@ def verify(cases) -> float:
 
 def bench(cases, repeats: int):
     """Per-pair wall times of each implementation over the workload."""
-    def vectorized(model, schedule, weights):
+    def vectorized(model, schedule, weights, tiles):
         return model.layer_power(schedule, weights, OPTIMIZED_HW)
 
-    def reference(model, schedule, weights):
+    def reference(model, schedule, weights, tiles):
         return oracle.layer_power_reference(model, schedule, weights,
-                                            OPTIMIZED_HW)
+                                            OPTIMIZED_HW, tiles=tiles)
 
     def run_once(fn):
         start = time.perf_counter()
-        for __, model, schedule, weights in cases:
-            fn(model, schedule, weights)
+        for case in cases:
+            fn(*case)
         return time.perf_counter() - start
 
     # Warm-up, then one interleaved pair per repeat.

@@ -21,7 +21,7 @@ every unchanged stage prefix instantly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 from repro.core.artifacts import ArtifactStore
 from repro.core.delay_selection import DEFAULT_THRESHOLDS_PS
@@ -32,7 +32,7 @@ from repro.core.stages import (
     StageRunner,
     build_power_pruning_graph,
 )
-from repro.hw import DEFAULT_BACKEND_ID
+from repro.hw import DEFAULT_BACKEND_ID, HardwareBackend, get_backend
 from repro.systolic.spec import AcceleratorSpec
 
 #: Weight values referenced throughout the paper's figures; always
@@ -57,10 +57,13 @@ class PipelineConfig:
 
     network: str = "lenet5"
     dataset: str = "cifar10"
-    #: Hardware backend id (see :mod:`repro.hw`); participates in every
+    #: Hardware backend (see :mod:`repro.hw`).  A registry id is looked
+    #: up once, when the config is made, so the config holds the spec
+    #: itself and a later registration under the same id cannot change
+    #: what it keys or builds.  The full spec participates in every
     #: stage cache key, so artifacts from different backends can never
     #: collide in a shared store.
-    backend: str = DEFAULT_BACKEND_ID
+    backend: Union[str, HardwareBackend] = DEFAULT_BACKEND_ID
     #: Processes to shard per-weight characterization over (0 = all
     #: cores).  Sharding is bit-for-bit equal to a serial run, so this
     #: knob is deliberately absent from all stage cache keys.
@@ -99,6 +102,10 @@ class PipelineConfig:
     seed: int = 0
     verbose: bool = False
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.backend, HardwareBackend):
+            object.__setattr__(self, "backend", get_backend(self.backend))
+
     def accel_spec(self) -> AcceleratorSpec:
         """The accelerator design point, defaulted when unset."""
         return self.accel if self.accel is not None else AcceleratorSpec()
@@ -107,8 +114,7 @@ class PipelineConfig:
         """Spec with ``None`` geometry resolved against the backend, so
         an explicit 64x64 request and the default geometry of a 64x64
         backend hash to the same ``accel_*`` keys."""
-        from repro.hw import get_backend
-        base = get_backend(self.backend).build_systolic_config()
+        base = self.backend.build_systolic_config()
         return self.accel_spec().resolved(base)
 
     @property
@@ -162,26 +168,6 @@ class PowerPruner:
     def runner(self) -> StageRunner:
         """A stage runner over this pruner's config and store."""
         return StageRunner(self.graph, self.ops, self.store)
-
-    # ------------------------------------------------------------------
-    # helper stages (compatibility wrappers around the ops backend)
-    # ------------------------------------------------------------------
-    def collect_statistics(self, model, dataset):
-        """Run the network's hottest layers through the array, collecting
-        the Fig. 4 transition statistics."""
-        return self.ops.collect_statistics(model, dataset)
-
-    def characterize_power(self, stats):
-        """Per-weight power table from measured operand statistics."""
-        return self.ops.characterize_power(stats)
-
-    def characterize_timing(self, candidate_weights):
-        """Per-weight timing table for the power-selected candidates."""
-        return self.ops.characterize_timing(candidate_weights)
-
-    def measure_power(self, model, table, vdd=None):
-        """(Standard HW, Optimized HW) average power of the network."""
-        return self.ops.measure_power(model, table, vdd=vdd)
 
     # ------------------------------------------------------------------
     # the full flow

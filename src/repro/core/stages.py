@@ -79,10 +79,8 @@ __all__ = [
     "StageGraph",
     "StageRunner",
     "PipelineOps",
-    "backend_key_payload",
     "shared_stage_keys",
     "build_power_pruning_graph",
-    "POWER_PRUNING_STAGES",
 ]
 
 
@@ -90,19 +88,6 @@ __all__ = [
 # generic machinery
 # ----------------------------------------------------------------------
 StageFn = Callable[["PipelineOps", Dict[str, Any]], Any]
-
-
-def backend_key_payload(config: "PipelineConfig") -> Dict[str, Any]:
-    """The hardware-backend contribution to a stage cache key.
-
-    Hashes the backend's full resolved spec (id plus every parameter),
-    so re-registering an id with different hardware also invalidates
-    the old artifacts.
-    """
-    from repro.hw import DEFAULT_BACKEND_ID, get_backend
-
-    backend_id = getattr(config, "backend", DEFAULT_BACKEND_ID)
-    return get_backend(backend_id).key_payload()
 
 
 def shared_stage_keys(config: "PipelineConfig",
@@ -220,7 +205,7 @@ class StageGraph:
         payload = {
             "stage": stage.name,
             "version": stage.version,
-            "backend": backend_key_payload(config),
+            "backend": config.backend.key_payload(),
             "config": {f: getattr(config, f) for f in stage.fields},
             "deps": {d: self.key(d, config, memo) for d in stage.deps},
         }
@@ -290,11 +275,8 @@ class PipelineOps:
     """
 
     def __init__(self, config: "PipelineConfig") -> None:
-        from repro.hw import DEFAULT_BACKEND_ID, get_backend
-
         self.config = config
-        self.backend = get_backend(
-            getattr(config, "backend", DEFAULT_BACKEND_ID))
+        self.backend = config.backend
 
     @cached_property
     def library(self):
@@ -808,24 +790,6 @@ def _stage_accel_eval(ops: PipelineOps, inputs: Dict[str, Any]):
     return {"layers": layer_rows, "network": network}
 
 
-#: Stage names in execution (topological) order.
-POWER_PRUNING_STAGES: Tuple[str, ...] = (
-    "dataset",
-    "baseline",
-    "pruned",
-    "operand_stats",
-    "power_table",
-    "power_selection",
-    "timing_table",
-    "delay_selection",
-    "voltage_scaling",
-    "power_measurement",
-    "report",
-    "accel_layers",
-    "accel_schedule",
-    "accel_eval",
-)
-
 #: Training fields shared by every stage that retrains the network.
 _RETRAIN_FIELDS = ("retrain_epochs", "batch_size", "lr",
                    "lr_decay_epochs", "seed")
@@ -912,8 +876,9 @@ def build_power_pruning_graph() -> StageGraph:
         "accel_schedule", _stage_accel_schedule, deps=("accel_layers",),
         fields=("accel_geometry",),
         # v2: tiles the shared trace and stores occupancy counts, not
-        # weights.
-        version="2",
+        # weights.  v3: a schedule pickles as its grid (config, k, n,
+        # m); v2 artifacts name a tile class that no longer exists.
+        version="3",
     ))
     graph.add(Stage(
         "accel_eval", _stage_accel_eval,

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple, Union
 
 from repro.core.pipeline import PipelineConfig
-from repro.hw import DEFAULT_BACKEND_ID, resolve_backend_id
+from repro.hw import DEFAULT_BACKEND_ID, HardwareBackend
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,7 @@ NETWORK_TRAINING = {
 
 def pipeline_config(spec: NetworkSpec, scale: str = "ci",
                     seed: int = 0, verbose: bool = False,
-                    backend: str = DEFAULT_BACKEND_ID,
+                    backend: Union[str, HardwareBackend] = DEFAULT_BACKEND_ID,
                     char_jobs: int = 1,
                     accel=None) -> PipelineConfig:
     """PipelineConfig for one network spec at the requested scale.
@@ -112,9 +112,8 @@ def pipeline_config(spec: NetworkSpec, scale: str = "ci",
         seed: Seed threaded through every stage.
         verbose: Log stage execution.
         backend: Hardware-backend id or :class:`~repro.hw.HardwareBackend`
-            spec (specs are registered on the fly, which keeps
-            user-defined backends working inside spawn-started worker
-            processes).
+            spec.  The config holds the spec, so a user-defined backend
+            needs no registry entry, in this process or in a worker.
         char_jobs: Processes to shard per-weight characterization over
             (bit-for-bit identical to serial; not part of cache keys).
         accel: Optional :class:`~repro.systolic.spec.AcceleratorSpec`
@@ -127,7 +126,7 @@ def pipeline_config(spec: NetworkSpec, scale: str = "ci",
     return PipelineConfig(
         lr=training.get("lr", 0.05),
         lr_decay_epochs=training.get("lr_decay_epochs", ()),
-        backend=resolve_backend_id(backend),
+        backend=backend,
         char_jobs=char_jobs,
         accel=accel,
         network=spec.network,

@@ -22,7 +22,6 @@ from repro.experiments.config import NETWORK_SPECS, NetworkSpec
 from repro.experiments import sweep as sweep_engine
 from repro.experiments.sweep import (
     SweepResult,
-    fig9_weight_threshold,
     make_sweep_spec,
     run_sweep,
 )
@@ -34,9 +33,6 @@ PAPER_SWEEP = ((180, 256), (170, 234), (160, 221), (150, 179), (140, 73))
 
 #: The paper's threshold axis (single source: the sweep engine).
 DEFAULT_THRESHOLDS = sweep_engine.DEFAULT_THRESHOLDS["fig9"]
-
-#: Backwards-compatible alias; the rule lives with the sweep engine now.
-_weight_threshold_for = fig9_weight_threshold
 
 
 @dataclass

@@ -25,7 +25,6 @@ from typing import Optional
 from repro.core.artifacts import ArtifactStore, hash_key
 from repro.core.pipeline import PipelineConfig, PowerPruner
 from repro.core.report import PowerPruningReport
-from repro.core.stages import backend_key_payload
 from repro.experiments.config import NetworkSpec, pipeline_config
 from repro.hw import DEFAULT_BACKEND_ID
 from repro.nn.layers import Module
@@ -138,7 +137,7 @@ class ExperimentContext:
         return hash_key({
             "stage": "timing_table/candidates",
             "version": TIMING_CANDIDATES_VERSION,
-            "backend": backend_key_payload(config),
+            "backend": config.backend.key_payload(),
             "config": {
                 "timing_transitions": config.timing_transitions,
                 "timing_floor_ps": config.timing_floor_ps,

@@ -59,7 +59,7 @@ from typing import (
 
 from repro.core.artifacts import ArtifactStore, hash_key
 from repro.core.pipeline import POWER_PRUNING_GRAPH, PipelineConfig
-from repro.core.stages import backend_key_payload, shared_stage_keys
+from repro.core.stages import shared_stage_keys
 from repro.experiments.config import (
     NETWORK_SPECS,
     NetworkSpec,
@@ -476,7 +476,7 @@ def point_cache_key(point: SweepPoint, config: PipelineConfig) -> str:
         "version": "1",
         "graph": POWER_PRUNING_GRAPH.fingerprint(),
         "timing_candidates": TIMING_CANDIDATES_VERSION,
-        "backend": backend_key_payload(config),
+        "backend": config.backend.key_payload(),
         "threshold": point.threshold,
         "config": {f.name: getattr(config, f.name)
                    for f in dataclass_fields(config)

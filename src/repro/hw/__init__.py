@@ -3,10 +3,10 @@
 A backend bundles everything that makes one MAC implementation point —
 cell library variant, multiplier/adder styles, datapath widths, array
 operating point, calibration anchors and voltage model — behind a
-single registry id.  The pipeline resolves ``PipelineConfig.backend``
-here and keys every stage-cache artifact on the full backend spec, so
-alternative implementations hang off the same stage graph without ever
-colliding in a shared cache.
+single registry id.  ``PipelineConfig`` resolves a backend id here when
+it is made and keys every stage-cache artifact on the full backend
+spec, so alternative implementations hang off the same stage graph
+without ever colliding in a shared cache.
 """
 
 from repro.hw.backend import (
@@ -17,11 +17,9 @@ from repro.hw.backend import (
 from repro.hw.registry import (
     DEFAULT_BACKEND_ID,
     describe_backends,
-    ensure_registered,
     get_backend,
     list_backends,
     register_backend,
-    resolve_backend_id,
 )
 
 __all__ = [
@@ -30,8 +28,6 @@ __all__ = [
     "ADDER_STYLES",
     "DEFAULT_BACKEND_ID",
     "register_backend",
-    "ensure_registered",
-    "resolve_backend_id",
     "get_backend",
     "list_backends",
     "describe_backends",

@@ -1,10 +1,10 @@
 """Named registry of hardware backends.
 
 Backends are registered once at import time (the built-ins below) or by
-user code via :func:`register_backend`; the pipeline resolves
-``PipelineConfig.backend`` through :func:`get_backend`.  The CLI's
-``--backend`` / ``--list-backends`` flags are thin wrappers over the
-same registry.
+user code via :func:`register_backend`; a ``PipelineConfig`` made with a
+backend id looks it up here through :func:`get_backend`, once, and
+keeps the spec.  The CLI's ``--backend`` / ``--list-backends`` flags are
+thin wrappers over the same registry.
 """
 
 from __future__ import annotations
@@ -35,36 +35,6 @@ def register_backend(backend: HardwareBackend,
             f"pass replace=True to overwrite")
     _REGISTRY[backend.backend_id] = backend
     return backend
-
-
-def ensure_registered(backend: HardwareBackend) -> HardwareBackend:
-    """Idempotently register ``backend``; replace a differing spec.
-
-    Worker processes receive backend *specs* (not just ids) in their
-    task payloads and call this before resolving ids, so user-defined
-    backends registered only in the parent process keep working under
-    spawn-based process pools, where workers re-import the registry
-    with built-ins only.
-    """
-    existing = _REGISTRY.get(backend.backend_id)
-    if existing == backend:
-        return existing
-    return register_backend(backend, replace=existing is not None)
-
-
-def resolve_backend_id(backend) -> str:
-    """Backend id from an id string, a :class:`HardwareBackend`, or
-    ``None`` (the default backend).
-
-    String ids are validated against the registry; spec instances are
-    idempotently registered first (the spawn-safe path for worker
-    processes).
-    """
-    if backend is None:
-        return DEFAULT_BACKEND_ID
-    if isinstance(backend, HardwareBackend):
-        return ensure_registered(backend).backend_id
-    return get_backend(backend).backend_id
 
 
 def get_backend(backend_id: str) -> HardwareBackend:

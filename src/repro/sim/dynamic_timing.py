@@ -244,11 +244,3 @@ def dynamic_delays(netlist: Union[Netlist, PackedNetlist], library,
         raise ValueError("netlist has no outputs to time")
     return arrivals[outputs].max(axis=0)
 
-
-def output_bus_arrivals(netlist: Union[Netlist, PackedNetlist],
-                        arrivals: np.ndarray, prefix: str,
-                        width: int) -> np.ndarray:
-    """Arrival times of a named output bus, shape ``(width, batch)``."""
-    packed = _packed(netlist)
-    nets = packed.netlist.output_bus(prefix, width)
-    return arrivals[nets]

@@ -559,28 +559,6 @@ def evaluate(netlist: Union[Netlist, PackedNetlist],
     return evaluate_words(netlist, inputs, batch).unpack()
 
 
-def read_output_bus(netlist: Union[Netlist, PackedNetlist],
-                    values: Union[np.ndarray, PackedValues],
-                    prefix: str, width: int,
-                    signed: bool = True) -> np.ndarray:
-    """Decode an output bus from an :func:`evaluate` result to integers.
-
-    Accepts either the boolean matrix of :func:`evaluate` or the
-    :class:`PackedValues` of :func:`evaluate_words`.
-    """
-    packed = _resolve_packed(netlist)
-    nets = packed.netlist.output_bus(prefix, width)
-    if isinstance(values, PackedValues):
-        # Slice the word rows down to the bus *before* unpacking, so a
-        # wide-batch result never materializes the full boolean matrix.
-        bits = PackedValues(words=values.words[nets],
-                            batch=values.batch,
-                            half_batch=values.half_batch).unpack()
-    else:
-        bits = values[nets]
-    return bits_to_int(bits.T, signed=signed)
-
-
 def bus_inputs(prefix: str, values: np.ndarray, width: int
                ) -> Dict[str, np.ndarray]:
     """Expand integers into per-wire input assignments for ``evaluate``.

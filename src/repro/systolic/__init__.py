@@ -7,10 +7,11 @@ Substitute for the authors' synthesized 64x64 systolic array testbench:
 * :mod:`repro.systolic.spec` — :class:`AcceleratorSpec`, the cache-keyed
   design point (geometry x variant x mapping) the ``accel_*`` pipeline
   stages and the ``accel`` sweep axes evaluate.
-* :mod:`repro.systolic.mapping` — tiling of matmul-shaped layer workloads
-  onto the array, with cycle accounting.
+* :mod:`repro.systolic.mapping` — the tile grid of a matmul-shaped
+  layer workload on the array, with closed-form cycle accounting.
 * :mod:`repro.systolic.array` — functional simulation producing exact
-  outputs plus the operand streams each PE observes.
+  outputs plus the operand streams each PE observes (its cycle-by-cycle
+  reference lives with the test oracles).
 * :mod:`repro.systolic.stats` — transition statistics collected from the
   streams (feeds the Fig. 4 distributions).
 * :mod:`repro.systolic.energy` — per-layer power estimation from the
@@ -27,13 +28,11 @@ from repro.systolic.config import (
 from repro.systolic.spec import (
     HW_VARIANTS,
     AcceleratorSpec,
-    accel_spec_from_mapping,
     normalize_variant,
     parse_array_shape,
 )
-from repro.systolic.mapping import Tile, TileSchedule, schedule_matmul
+from repro.systolic.mapping import TileSchedule, schedule_matmul
 from repro.systolic.array import SystolicArray
-from repro.systolic.cycle_sim import CycleAccurateArray, CycleTrace
 from repro.systolic.stats import TransitionStatsCollector
 from repro.systolic.energy import (
     ArrayPowerModel,
@@ -49,15 +48,11 @@ __all__ = [
     "OPTIMIZED_HW",
     "AcceleratorSpec",
     "HW_VARIANTS",
-    "accel_spec_from_mapping",
     "normalize_variant",
     "parse_array_shape",
-    "Tile",
     "TileSchedule",
     "schedule_matmul",
     "SystolicArray",
-    "CycleAccurateArray",
-    "CycleTrace",
     "TransitionStatsCollector",
     "ArrayPowerModel",
     "MacPowerParams",

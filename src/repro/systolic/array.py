@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from repro.systolic.config import SystolicConfig
-from repro.systolic.mapping import TileSchedule, schedule_matmul
+from repro.systolic.mapping import schedule_matmul
 from repro.systolic.stats import TransitionStatsCollector
 
 
@@ -88,21 +88,18 @@ class SystolicArray:
         m = activations.shape[1]
         schedule = schedule_matmul(k, n, m, self.config)
         out = np.zeros((n, m), dtype=np.int64)
-        for tile in schedule:
-            w_tile = weights[tile.row_start:tile.row_stop,
-                             tile.col_start:tile.col_stop]
-            a_tile = activations[tile.row_start:tile.row_stop, :]
-            out[tile.col_start:tile.col_stop, :] += w_tile.T @ a_tile
-            if stats is not None:
-                self._collect_tile_stats(w_tile, a_tile, stats)
+        row_stop = 0
+        for rows_used in schedule.row_blocks:
+            row_start, row_stop = row_stop, row_stop + rows_used
+            a_tile = activations[row_start:row_stop, :]
+            col_stop = 0
+            for cols_used in schedule.col_blocks:
+                col_start, col_stop = col_stop, col_stop + cols_used
+                w_tile = weights[row_start:row_stop, col_start:col_stop]
+                out[col_start:col_stop, :] += w_tile.T @ a_tile
+                if stats is not None:
+                    self._collect_tile_stats(w_tile, a_tile, stats)
         return out
-
-    def schedule(self, weights: np.ndarray,
-                 activations: np.ndarray) -> TileSchedule:
-        """The tile schedule :meth:`run_layer` would execute."""
-        k, n = np.asarray(weights).shape
-        m = np.asarray(activations).shape[1]
-        return schedule_matmul(k, n, m, self.config)
 
     def _collect_tile_stats(self, w_tile: np.ndarray, a_tile: np.ndarray,
                             stats: TransitionStatsCollector) -> None:

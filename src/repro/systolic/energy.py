@@ -63,10 +63,13 @@ def schedule_value_counts(schedule: TileSchedule,
                           weights: np.ndarray) -> ScheduleCounts:
     """Cycle-weighted stationary-value counts for a whole schedule.
 
-    Paints each tile's cycle count over its ``(K, N)`` slice and
-    reduces the entire weight matrix with one ``np.bincount``.  The
-    counts are bit-identical to accumulating an integer bincount per
-    tile, the loop the test suite keeps as its oracle.
+    Tile ``(i, j)`` runs ``2·r_i + m + c_j`` cycles, a row term plus a
+    column term, so each cell of ``W`` is weighted by its row's term
+    plus its column's and the whole matrix reduces with one
+    ``np.bincount``; the PE-cycle totals factor into sums over the two
+    block vectors, in exact Python integers.  The counts are
+    bit-identical to accumulating an integer bincount per tile, the
+    loop the test suite keeps as its oracle.
     """
     weights = np.asarray(weights, dtype=np.int64)
     if weights.shape != (schedule.k, schedule.n):
@@ -74,34 +77,38 @@ def schedule_value_counts(schedule: TileSchedule,
             f"weight matrix {weights.shape} does not match schedule "
             f"({schedule.k}, {schedule.n})"
         )
-    config = schedule.config
-    tiles = schedule.tiles
-    cycles = np.array([tile.cycles() for tile in tiles], dtype=np.int64)
-    rows_used = np.array([tile.rows_used for tile in tiles], dtype=np.int64)
-    cols_used = np.array([tile.cols_used for tile in tiles], dtype=np.int64)
-
     index = weights - (-(1 << 7))
     if index.size and (index.min() < 0 or index.max() >= _LUT_SIZE):
         raise ValueError("weights outside the signed-8-bit range")
-    # One bincount over the whole matrix, weighted by the per-cell
-    # cycle count (+= per tile handles arbitrary tile lists the same
-    # way a per-tile loop does).
-    cycle_map = np.zeros(weights.shape, dtype=np.float64)
-    for tile, tile_cycles in zip(tiles, cycles):
-        cycle_map[tile.row_start:tile.row_stop,
-                  tile.col_start:tile.col_stop] += tile_cycles
+
+    config = schedule.config
+    rows, cols = schedule.row_blocks, schedule.col_blocks
+    row_terms = [2 * r + schedule.m for r in rows]
+    cycle_map = np.add.outer(
+        np.repeat(np.array(row_terms, dtype=np.float64), rows),
+        np.repeat(np.array(cols, dtype=np.float64), cols))
     counts = np.bincount(index.ravel(), weights=cycle_map.ravel(),
                          minlength=_LUT_SIZE)
 
     return ScheduleCounts(
         weight_counts=counts,
-        tile_pe_cycles=int((cycles * rows_used * cols_used).sum()),
-        idle_row_pe_cycles=int(
-            (cycles * (config.rows - rows_used) * cols_used).sum()),
-        unused_col_pe_cycles=int(
-            (cycles * (config.cols - cols_used) * config.rows).sum()),
-        total_cycles=int(cycles.sum()),
+        tile_pe_cycles=_tile_sum(row_terms, rows, cols, cols),
+        idle_row_pe_cycles=_tile_sum(
+            row_terms, [config.rows - r for r in rows], cols, cols),
+        unused_col_pe_cycles=_tile_sum(
+            row_terms, [config.rows] * len(rows), cols,
+            [config.cols - c for c in cols]),
+        total_cycles=schedule.total_cycles,
     )
+
+
+def _tile_sum(row_terms: Sequence[int], row_pes: Sequence[int],
+              col_terms: Sequence[int], col_pes: Sequence[int]) -> int:
+    """``sum_ij (row_terms[i] + col_terms[j]) * row_pes[i] * col_pes[j]``:
+    tile cycles times a PE count that factors by row and column block,
+    summed over the grid as two products of per-axis sums."""
+    return (sum(t * p for t, p in zip(row_terms, row_pes)) * sum(col_pes)
+            + sum(row_pes) * sum(t * p for t, p in zip(col_terms, col_pes)))
 
 
 @dataclass(frozen=True)

@@ -4,64 +4,59 @@ A convolution or dense layer is lowered (via im2col) to the matmul
 ``out[N, M] = W[K, N]^T @ A[K, M]`` with ``K`` the fan-in, ``N`` the
 output channels and ``M`` the output positions.  The array holds a
 ``rows x cols`` tile of ``W`` stationary while the ``M`` activation
-columns stream through, so the workload becomes a grid of
-``ceil(K/rows) x ceil(N/cols)`` tiles.
+columns stream through, so the workload becomes a row-major grid of
+``ceil(K/rows) x ceil(N/cols)`` tiles.  Row block ``i`` holds ``r_i``
+fan-in rows and column block ``j`` holds ``c_j`` output channels: every
+block is full but the last of each axis.
 
-Cycle accounting per tile: ``rows_used`` cycles to preload weights, then
-``M`` streaming cycles plus ``rows_used + cols_used`` pipeline fill/drain.
+Cycle accounting per tile: ``r_i`` cycles to preload weights, then
+``M`` streaming cycles plus ``r_i + c_j`` pipeline fill/drain, so tile
+``(i, j)`` takes ``2·r_i + M + c_j`` cycles.  The grid is determined by
+``(K, N, M)`` and the geometry, which makes every aggregate a closed
+form over the two block vectors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import Tuple
 
 from repro.systolic.config import SystolicConfig
 
 
+def _blocks(size: int, block: int) -> Tuple[int, ...]:
+    """Lengths of ``size`` split into ``block``-long pieces, last short."""
+    full, rest = divmod(size, block)
+    return (block,) * full + ((rest,) if rest else ())
+
+
 @dataclass(frozen=True)
-class Tile:
-    """One stationary weight tile of a layer's matmul.
-
-    Attributes:
-        row_start / row_stop: Fan-in slice held by the array rows.
-        col_start / col_stop: Output-channel slice held by the columns.
-        stream_length: Number of activation vectors streamed through.
-    """
-
-    row_start: int
-    row_stop: int
-    col_start: int
-    col_stop: int
-    stream_length: int
-
-    @property
-    def rows_used(self) -> int:
-        return self.row_stop - self.row_start
-
-    @property
-    def cols_used(self) -> int:
-        return self.col_stop - self.col_start
-
-    def cycles(self) -> int:
-        """Weight preload + streaming + pipeline fill/drain."""
-        return (self.rows_used + self.stream_length
-                + self.rows_used + self.cols_used)
-
-
-@dataclass
 class TileSchedule:
-    """All tiles of one layer plus aggregate cycle statistics."""
+    """The tile grid of one layer's matmul, with its cycle statistics."""
 
     config: SystolicConfig
-    tiles: List[Tile]
     k: int
     n: int
     m: int
 
     @property
+    def row_blocks(self) -> Tuple[int, ...]:
+        """Array rows used by each row of tiles (fan-in slices)."""
+        return _blocks(self.k, self.config.rows)
+
+    @property
+    def col_blocks(self) -> Tuple[int, ...]:
+        """Array columns used by each column of tiles (output slices)."""
+        return _blocks(self.n, self.config.cols)
+
+    @property
     def total_cycles(self) -> int:
-        return sum(tile.cycles() for tile in self.tiles)
+        """Sum over tiles of ``2·r_i + m + c_j``: the ``r_i`` sum to
+        ``k`` and the ``c_j`` to ``n``."""
+        n_row_blocks = len(self.row_blocks)
+        n_col_blocks = len(self.col_blocks)
+        return (n_col_blocks * (2 * self.k + n_row_blocks * self.m)
+                + n_row_blocks * self.n)
 
     @property
     def total_macs(self) -> int:
@@ -74,11 +69,8 @@ class TileSchedule:
         spent = self.total_cycles * self.config.n_pes
         return self.total_macs / spent if spent else 0.0
 
-    def __iter__(self) -> Iterator[Tile]:
-        return iter(self.tiles)
-
     def __len__(self) -> int:
-        return len(self.tiles)
+        return len(self.row_blocks) * len(self.col_blocks)
 
 
 def schedule_matmul(k: int, n: int, m: int,
@@ -93,31 +85,4 @@ def schedule_matmul(k: int, n: int, m: int,
     """
     if min(k, n, m) < 1:
         raise ValueError("matmul dimensions must be positive")
-    tiles = []
-    for row_start in range(0, k, config.rows):
-        row_stop = min(row_start + config.rows, k)
-        for col_start in range(0, n, config.cols):
-            col_stop = min(col_start + config.cols, n)
-            tiles.append(Tile(row_start, row_stop, col_start, col_stop,
-                              stream_length=m))
-    return TileSchedule(config=config, tiles=tiles, k=k, n=n, m=m)
-
-
-def conv2d_matmul_shape(in_channels: int, out_channels: int,
-                        kernel_hw: Tuple[int, int],
-                        out_hw: Tuple[int, int],
-                        batch: int = 1) -> Tuple[int, int, int]:
-    """(K, N, M) of the im2col lowering of a conv layer."""
-    kh, kw = kernel_hw
-    oh, ow = out_hw
-    if min(in_channels, out_channels, kh, kw, oh, ow, batch) < 1:
-        raise ValueError("conv dimensions must be positive")
-    return in_channels * kh * kw, out_channels, oh * ow * batch
-
-
-def dense_matmul_shape(in_features: int, out_features: int,
-                       batch: int = 1) -> Tuple[int, int, int]:
-    """(K, N, M) of a dense layer."""
-    if min(in_features, out_features, batch) < 1:
-        raise ValueError("dense dimensions must be positive")
-    return in_features, out_features, batch
+    return TileSchedule(config=config, k=k, n=n, m=m)

@@ -20,7 +20,7 @@ one characterization run and one trace.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.systolic.config import (
     OPTIMIZED_HW,
@@ -32,7 +32,6 @@ from repro.systolic.config import (
 __all__ = [
     "AcceleratorSpec",
     "HW_VARIANTS",
-    "accel_spec_from_mapping",
     "normalize_variant",
     "parse_array_shape",
 ]
@@ -185,28 +184,3 @@ class AcceleratorSpec:
             label += f"/b{spec.stream_batch}"
         return label
 
-
-def accel_spec_from_mapping(data: Mapping[str, Any],
-                            source: str = "accel spec"
-                            ) -> AcceleratorSpec:
-    """An :class:`AcceleratorSpec` from a parsed JSON/TOML mapping."""
-    known = {"shape", "rows", "cols", "variant", "stream_batch"}
-    unknown = sorted(set(data) - known)
-    if unknown:
-        raise ValueError(f"unknown {source} keys {unknown}; "
-                         f"recognized: {sorted(known)}")
-    rows = data.get("rows")
-    cols = data.get("cols")
-    if "shape" in data:
-        if rows is not None or cols is not None:
-            raise ValueError(f"{source}: give either 'shape' or "
-                             f"'rows'/'cols', not both")
-        shape = parse_array_shape(data["shape"])
-        if shape is not None:
-            rows, cols = shape
-    return AcceleratorSpec(
-        rows=None if rows is None else int(rows),
-        cols=None if cols is None else int(cols),
-        variant=normalize_variant(data.get("variant", "standard")),
-        stream_batch=int(data.get("stream_batch", 1)),
-    )

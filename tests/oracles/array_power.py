@@ -1,5 +1,11 @@
 """Oracles of the accelerator power model in :mod:`repro.systolic.energy`.
 
+:func:`tiles_of` lists a schedule's tiles one :class:`Tile` at a time,
+walking the ``(k, n)`` grid in steps of the array's rows and columns;
+it reads nothing of :class:`~repro.systolic.mapping.TileSchedule` but
+its dimensions and geometry, so the loops below check production's
+closed-form block sums against tiles built independently of them.
+
 :func:`dynamic_lut_loop` is the per-weight loop that built
 ``ArrayPowerModel``'s 256-entry dynamic-power lookup before one
 ``np.interp`` call replaced it; the two must be byte-equal.
@@ -17,7 +23,8 @@ layer_power` equals it to float rounding (``rtol`` 1e-9).
 
 from __future__ import annotations
 
-from typing import Optional
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -25,10 +32,50 @@ from repro.power.characterization import WeightPowerTable
 from repro.power.estimator import PowerBreakdown
 from repro.systolic.config import HardwareVariant
 from repro.systolic.energy import ArrayPowerModel, ScheduleCounts
-from repro.systolic.mapping import Tile, TileSchedule
+from repro.systolic.mapping import TileSchedule
 
 #: Size of the dense signed-8-bit weight-value lookup.
 _LUT_SIZE = 1 << 8
+
+
+@dataclass(frozen=True)
+class Tile:
+    """One stationary weight tile of a layer's matmul.
+
+    Attributes:
+        row_start / row_stop: Fan-in slice held by the array rows.
+        col_start / col_stop: Output-channel slice held by the columns.
+        stream_length: Number of activation vectors streamed through.
+    """
+
+    row_start: int
+    row_stop: int
+    col_start: int
+    col_stop: int
+    stream_length: int
+
+    @property
+    def rows_used(self) -> int:
+        return self.row_stop - self.row_start
+
+    @property
+    def cols_used(self) -> int:
+        return self.col_stop - self.col_start
+
+    def cycles(self) -> int:
+        """Weight preload + streaming + pipeline fill/drain."""
+        return (self.rows_used + self.stream_length
+                + self.rows_used + self.cols_used)
+
+
+def tiles_of(schedule: TileSchedule) -> List[Tile]:
+    """The schedule's tiles in row-major order, one object each."""
+    k, n, m = schedule.k, schedule.n, schedule.m
+    rows, cols = schedule.config.rows, schedule.config.cols
+    return [Tile(row_start, min(row_start + rows, k),
+                 col_start, min(col_start + cols, n), stream_length=m)
+            for row_start in range(0, k, rows)
+            for col_start in range(0, n, cols)]
 
 
 def dynamic_lut_loop(table: WeightPowerTable) -> np.ndarray:
@@ -46,7 +93,7 @@ def schedule_value_counts_loop(schedule: TileSchedule,
     counts = np.zeros(_LUT_SIZE, dtype=np.int64)
     tile_pe_cycles = idle_row_pe_cycles = unused_col_pe_cycles = 0
     total_cycles = 0
-    for tile in schedule.tiles:
+    for tile in tiles_of(schedule):
         cycles = tile.cycles()
         tile_index = index[tile.row_start:tile.row_stop,
                            tile.col_start:tile.col_stop]
@@ -128,8 +175,15 @@ def tile_power(model: ArrayPowerModel, tile: Tile,
 
 def layer_power_reference(model: ArrayPowerModel, schedule: TileSchedule,
                           weights: np.ndarray, variant: HardwareVariant,
-                          vdd: Optional[float] = None) -> PowerBreakdown:
-    """The original per-tile implementation of ``layer_power``."""
+                          vdd: Optional[float] = None,
+                          tiles: Optional[Sequence[Tile]] = None,
+                          ) -> PowerBreakdown:
+    """The original per-tile implementation of ``layer_power``.
+
+    ``tiles`` are the schedule's :func:`tiles_of`, for a caller that
+    built them already (``bench_accel.py`` builds them outside its
+    timed region).
+    """
     weights = np.asarray(weights, dtype=np.int64)
     if weights.shape != (schedule.k, schedule.n):
         raise ValueError(
@@ -139,7 +193,7 @@ def layer_power_reference(model: ArrayPowerModel, schedule: TileSchedule,
     energy_dyn = 0.0
     energy_leak = 0.0
     total_cycles = 0
-    for tile in schedule:
+    for tile in tiles if tiles is not None else tiles_of(schedule):
         tile_w = weights[tile.row_start:tile.row_stop,
                          tile.col_start:tile.col_stop]
         power = tile_power(model, tile, tile_w, variant)

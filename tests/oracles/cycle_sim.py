@@ -1,14 +1,12 @@
-"""Cycle-by-cycle simulation of the weight-stationary systolic array.
+"""Cycle-by-cycle oracle of the weight-stationary systolic array.
 
 The tile-level model in :mod:`repro.systolic.array` is fast and
-functionally exact; this module provides the slow-but-literal reference —
-the role Modelsim plays in the paper's flow.  Every processing element is
-stepped every cycle: activations enter the left edge with the classic
-one-cycle skew per row, partial sums flow down the columns, and results
-drain from the bottom edge.
-
-Use it to validate the fast model (see ``tests/test_cycle_sim.py``) or to
-extract literal per-cycle operand traces for a small tile.
+functionally exact; this is the slow-but-literal reference it is
+checked against (``tests/test_cycle_sim.py``), the role Modelsim plays
+in the paper's flow.  Every processing element is stepped every cycle:
+activations enter the left edge with the classic one-cycle skew per
+row, partial sums flow down the columns, and results drain from the
+bottom edge.
 """
 
 from __future__ import annotations

@@ -1,12 +1,17 @@
-"""Random netlists and stimuli shared by the simulation test suites."""
+"""Random netlists and stimuli shared by the simulation test suites,
+and :func:`read_output_bus`, which the suites decode results with."""
 
 from __future__ import annotations
+
+from typing import Union
 
 import numpy as np
 from hypothesis import strategies as st
 
 from repro.netlist import NetlistBuilder
-from repro.netlist.gates import GateType, SOURCE_TYPES
+from repro.netlist.gates import GateType, Netlist, PackedNetlist, \
+    SOURCE_TYPES
+from repro.sim.logic import PackedValues, bits_to_int
 
 #: Batch sizes hostile to 64-bit word packing.
 AWKWARD_BATCHES = (1, 3, 63, 64, 65, 127, 128, 129, 200)
@@ -43,3 +48,25 @@ def random_feed(netlist, batch: int, seed: int):
     rng = np.random.default_rng(seed)
     return {name: rng.random(batch) < 0.5
             for name in netlist.input_names}
+
+
+def read_output_bus(netlist: Union[Netlist, PackedNetlist],
+                    values: Union[np.ndarray, PackedValues],
+                    prefix: str, width: int,
+                    signed: bool = True) -> np.ndarray:
+    """Decode an output bus of an ``evaluate`` result to integers.
+
+    Accepts either the boolean matrix of ``evaluate`` or the
+    :class:`PackedValues` of ``evaluate_words``; packed words are
+    sliced down to the bus before they are unpacked.
+    """
+    if isinstance(netlist, PackedNetlist):
+        netlist = netlist.netlist
+    nets = netlist.output_bus(prefix, width)
+    if isinstance(values, PackedValues):
+        bits = PackedValues(words=values.words[nets],
+                            batch=values.batch,
+                            half_batch=values.half_batch).unpack()
+    else:
+        bits = values[nets]
+    return bits_to_int(bits.T, signed=signed)

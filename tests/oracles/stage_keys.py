@@ -17,7 +17,6 @@ from typing import Dict
 from repro.core.artifacts import hash_key
 from repro.core.stages import StageGraph
 from repro.experiments.runner import TIMING_CANDIDATES_VERSION
-from repro.hw import get_backend
 
 #: Config fields no key may hash (see ``repro.experiments.sweep``).
 NON_KEY_FIELDS = ("backend", "char_jobs", "verbose")
@@ -25,7 +24,7 @@ NON_KEY_FIELDS = ("backend", "char_jobs", "verbose")
 
 def backend_payload(config) -> Dict[str, object]:
     """The backend's key payload as ``dataclasses.asdict`` builds it."""
-    return dataclasses.asdict(get_backend(config.backend))
+    return dataclasses.asdict(config.backend)
 
 
 def stage_key(graph: StageGraph, name: str, config) -> str:

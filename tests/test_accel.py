@@ -42,7 +42,6 @@ from repro.systolic import (
     ArrayPowerModel,
     MacPowerParams,
     SystolicConfig,
-    accel_spec_from_mapping,
     normalize_variant,
     parse_array_shape,
     schedule_matmul,
@@ -131,18 +130,6 @@ class TestAcceleratorSpec:
         assert AcceleratorSpec(rows=8, cols=8, stream_batch=4
                                ).describe() == "8x8/standard/b4"
 
-    def test_from_mapping(self):
-        spec = accel_spec_from_mapping(
-            {"shape": "16x32", "variant": "Optimized HW",
-             "stream_batch": 2})
-        assert spec == AcceleratorSpec(rows=16, cols=32,
-                                       variant="optimized",
-                                       stream_batch=2)
-        with pytest.raises(ValueError):
-            accel_spec_from_mapping({"shape": "16x16", "rows": 16})
-        with pytest.raises(ValueError):
-            accel_spec_from_mapping({"geometry": "16x16"})
-
 
 # ----------------------------------------------------------------------
 # array power model: vectorization contract + gating properties
@@ -161,40 +148,69 @@ def _model(config: SystolicConfig) -> ArrayPowerModel:
 
 _DIMS = st.tuples(st.integers(1, 90), st.integers(1, 70),
                   st.integers(1, 48))
-_GRID = st.sampled_from((8, 16, 32))
+
+#: Array geometries: squares, the accel axis's non-square shapes, and
+#: any rows x cols up to 64 (1-wide arrays included).
+_GEOMETRY = st.one_of(
+    st.sampled_from(((8, 8), (16, 16), (32, 32), (20, 48), (7, 130))),
+    st.tuples(st.integers(1, 64), st.integers(1, 64)),
+).map(lambda shape: SystolicConfig(rows=shape[0], cols=shape[1]))
 
 
 class TestScheduleProperties:
     @settings(max_examples=40, deadline=None)
-    @given(dims=_DIMS, size=_GRID)
+    @given(dims=_DIMS, config=_GEOMETRY)
     def test_tiles_partition_the_weight_grid_exactly_once(self, dims,
-                                                          size):
+                                                          config):
         k, n, m = dims
-        schedule = schedule_matmul(k, n, m,
-                                   SystolicConfig(rows=size, cols=size))
+        schedule = schedule_matmul(k, n, m, config)
+        tiles = oracle.tiles_of(schedule)
         coverage = np.zeros((k, n), dtype=np.int64)
-        for tile in schedule:
+        for tile in tiles:
             coverage[tile.row_start:tile.row_stop,
                      tile.col_start:tile.col_stop] += 1
         assert np.array_equal(coverage, np.ones((k, n), dtype=np.int64))
+        # The block vectors are the tiles' extents, row-major.
+        rows, cols = schedule.row_blocks, schedule.col_blocks
+        assert [(t.rows_used, t.cols_used) for t in tiles] == [
+            (r, c) for r in rows for c in cols]
 
     @settings(max_examples=40, deadline=None)
-    @given(dims=_DIMS, size=_GRID)
-    def test_total_macs_conservation(self, dims, size):
+    @given(dims=_DIMS, config=_GEOMETRY)
+    def test_total_macs_conservation(self, dims, config):
         k, n, m = dims
-        schedule = schedule_matmul(k, n, m,
-                                   SystolicConfig(rows=size, cols=size))
+        schedule = schedule_matmul(k, n, m, config)
         assert schedule.total_macs == k * n * m
+
+    @settings(max_examples=40, deadline=None)
+    @given(dims=_DIMS, config=_GEOMETRY)
+    def test_aggregates_equal_the_per_tile_sums(self, dims, config):
+        k, n, m = dims
+        schedule = schedule_matmul(k, n, m, config)
+        tiles = oracle.tiles_of(schedule)
+        cycles = sum(tile.cycles() for tile in tiles)
+        assert len(schedule) == len(tiles)
+        assert schedule.total_cycles == cycles
+        assert schedule.utilization == k * n * m / (cycles * config.n_pes)
+
+    def test_schedule_pickles_as_its_dimensions(self):
+        """A stored schedule is its config and (k, n, m): no tile
+        objects, and equal grids are equal values."""
+        config = SystolicConfig(rows=20, cols=48)
+        schedule = schedule_matmul(150, 70, 9, config)
+        assert vars(schedule) == {"config": config, "k": 150, "n": 70,
+                                  "m": 9}
+        assert pickle.loads(pickle.dumps(schedule)) == schedule
+        assert schedule == schedule_matmul(150, 70, 9, config)
 
 
 class TestVectorizedLayerPower:
     @settings(max_examples=25, deadline=None)
-    @given(dims=_DIMS, size=_GRID, seed=st.integers(0, 2 ** 31 - 1),
-           sparsity=st.floats(0.0, 0.95))
-    def test_counts_bit_equal_and_power_bit_identical(self, dims, size,
+    @given(dims=_DIMS, config=_GEOMETRY,
+           seed=st.integers(0, 2 ** 31 - 1), sparsity=st.floats(0.0, 0.95))
+    def test_counts_bit_equal_and_power_bit_identical(self, dims, config,
                                                       seed, sparsity):
         k, n, m = dims
-        config = SystolicConfig(rows=size, cols=size)
         schedule = schedule_matmul(k, n, m, config)
         rng = np.random.default_rng(seed)
         weights = rng.integers(-127, 128, (k, n))
@@ -206,6 +222,7 @@ class TestVectorizedLayerPower:
         assert fast.idle_row_pe_cycles == slow.idle_row_pe_cycles
         assert fast.unused_col_pe_cycles == slow.unused_col_pe_cycles
         assert fast.total_cycles == slow.total_cycles
+        assert pickle.dumps(fast) == pickle.dumps(slow)
         model = _model(config)
         for variant in (STANDARD_HW, OPTIMIZED_HW):
             assert model.layer_power(schedule, weights, variant) \
@@ -213,10 +230,10 @@ class TestVectorizedLayerPower:
                                            variant)
 
     @settings(max_examples=25, deadline=None)
-    @given(dims=_DIMS, size=_GRID, seed=st.integers(0, 2 ** 31 - 1))
-    def test_agrees_with_reference_oracle(self, dims, size, seed):
+    @given(dims=_DIMS, config=_GEOMETRY,
+           seed=st.integers(0, 2 ** 31 - 1))
+    def test_agrees_with_reference_oracle(self, dims, config, seed):
         k, n, m = dims
-        config = SystolicConfig(rows=size, cols=size)
         schedule = schedule_matmul(k, n, m, config)
         rng = np.random.default_rng(seed)
         weights = rng.integers(-127, 128, (k, n))
@@ -231,12 +248,11 @@ class TestVectorizedLayerPower:
                               rtol=1e-9)
 
     @settings(max_examples=25, deadline=None)
-    @given(dims=_DIMS, size=_GRID, seed=st.integers(0, 2 ** 31 - 1),
-           sparsity=st.floats(0.0, 0.95))
-    def test_optimized_never_exceeds_standard(self, dims, size, seed,
+    @given(dims=_DIMS, config=_GEOMETRY,
+           seed=st.integers(0, 2 ** 31 - 1), sparsity=st.floats(0.0, 0.95))
+    def test_optimized_never_exceeds_standard(self, dims, config, seed,
                                               sparsity):
         k, n, m = dims
-        config = SystolicConfig(rows=size, cols=size)
         schedule = schedule_matmul(k, n, m, config)
         rng = np.random.default_rng(seed)
         weights = rng.integers(-127, 128, (k, n))
@@ -287,7 +303,7 @@ class TestAccelStageKeys:
         if accel is not None:
             from dataclasses import replace
 
-            base = get_backend(config.backend).build_systolic_config()
+            base = config.backend.build_systolic_config()
             config = replace(config, accel=accel.resolved(base))
         return shared_stage_keys(config,
                                  SPEC_FREE_STAGES + ACCEL_STAGES)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles.cycle_sim import CycleAccurateArray
 from repro.systolic import SystolicArray, SystolicConfig
-from repro.systolic.cycle_sim import CycleAccurateArray
 
 
 class TestCycleAccurateArray:

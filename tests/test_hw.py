@@ -1,20 +1,22 @@
 """Tests for the hardware-backend registry, backend-keyed stage cache
 and the sharded per-weight characterization."""
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
+from oracles.netlists import read_output_bus
 from repro.cells import VoltageModel, default_library
 from repro.core.pipeline import POWER_PRUNING_GRAPH, PipelineConfig
-from repro.core.stages import POWER_PRUNING_STAGES, PipelineOps
+from repro.core.stages import PipelineOps
 from repro.hw import (
     DEFAULT_BACKEND_ID,
     HardwareBackend,
-    ensure_registered,
     get_backend,
     list_backends,
     register_backend,
-    resolve_backend_id,
 )
 from repro.netlist import build_mac_unit
 from repro.power import (
@@ -24,7 +26,7 @@ from repro.power import (
 )
 from repro.power.binning import BinnedTransitions
 from repro.power.characterization import weight_seed_sequence
-from repro.sim.logic import bus_inputs, evaluate, read_output_bus
+from repro.sim.logic import bus_inputs, evaluate
 from repro.systolic import SystolicConfig
 
 
@@ -54,32 +56,37 @@ class TestRegistry:
         with pytest.raises(ValueError, match="adder"):
             HardwareBackend("x", "bad", adder_style="carry_skip")
 
-    def test_resolve_backend_id_accepts_id_spec_and_none(self):
-        assert resolve_backend_id(None) == DEFAULT_BACKEND_ID
-        assert resolve_backend_id(DEFAULT_BACKEND_ID) == \
-            DEFAULT_BACKEND_ID
-        assert resolve_backend_id(get_backend("scaled-45nm")) == \
-            "scaled-45nm"
+    def test_config_resolves_an_id_once_into_its_spec(self):
+        assert PipelineConfig().backend is get_backend(DEFAULT_BACKEND_ID)
+        config = PipelineConfig(backend="scaled-45nm")
+        assert config.backend is get_backend("scaled-45nm")
+        assert dataclasses.replace(config, seed=3).backend is \
+            config.backend
         with pytest.raises(ValueError, match="unknown"):
-            resolve_backend_id("no-such-backend")
+            PipelineConfig(backend="no-such-backend")
 
-    def test_spec_resolution_registers_unknown_backends(self):
-        """The spawn-safe worker path: a spec travels in the task
-        payload and self-registers in a registry that has never seen
-        it (as in a freshly spawned process)."""
-        from repro.hw import registry
+    def test_unregistered_spec_keys_and_builds_without_the_registry(self):
+        """A spec that travels in a task payload (as into a freshly
+        spawned worker) is used as it is, never registered."""
         spec = HardwareBackend("test-spawned", "arrives via pickle",
                                multiplier_style="array")
-        try:
-            assert "test-spawned" not in registry._REGISTRY
-            assert resolve_backend_id(spec) == "test-spawned"
-            assert get_backend("test-spawned") is spec
-            # idempotent: an equal spec is a no-op, not a duplicate error
-            assert ensure_registered(
-                HardwareBackend("test-spawned", "arrives via pickle",
-                                multiplier_style="array")) is spec
-        finally:
-            registry._REGISTRY.pop("test-spawned", None)
+        config = PipelineConfig(backend=spec)
+        assert config.backend is spec
+        assert PipelineOps(config).backend is spec
+        assert POWER_PRUNING_GRAPH.keys(config) != \
+            POWER_PRUNING_GRAPH.keys(PipelineConfig())
+        assert "test-spawned" not in list_backends()
+
+    def test_pickled_config_carries_its_spec(self):
+        """What a worker unpickles keys and builds like the parent's
+        config, with no registry lookup."""
+        spec = HardwareBackend("test-pickled", "travels with the config",
+                               energy_factor=1.3)
+        config = PipelineConfig(backend=spec)
+        copy = pickle.loads(pickle.dumps(config))
+        assert copy.backend == spec
+        assert POWER_PRUNING_GRAPH.keys(copy) == \
+            POWER_PRUNING_GRAPH.keys(config)
 
 
 class TestBackendsBuildWorkingHardware:
@@ -175,7 +182,7 @@ class TestBackendKeyedStageCache:
         construction: the backend spec is hashed into every key."""
         by_backend = {bid: self._keys(backend=bid)
                       for bid in list_backends()}
-        for name in POWER_PRUNING_STAGES:
+        for name in POWER_PRUNING_GRAPH.names():
             keys = {by_backend[bid][name] for bid in by_backend}
             assert len(keys) == len(by_backend), name
 
@@ -184,6 +191,27 @@ class TestBackendKeyedStageCache:
 
     def test_char_jobs_never_in_keys(self):
         assert self._keys() == self._keys(char_jobs=8)
+
+    def test_contexts_on_same_id_specs_keep_their_own_keys(self):
+        """Two specs share an id: a context keys and builds its own
+        spec, before and after the other context is made."""
+        from repro.experiments.config import NETWORK_SPECS
+        from repro.experiments.runner import ExperimentContext
+
+        spec_a = HardwareBackend("custom", "user backend")
+        spec_b = HardwareBackend("custom", "user backend",
+                                 energy_factor=2.0)
+        context_a = ExperimentContext(NETWORK_SPECS[0], "smoke",
+                                      backend=spec_a)
+        before = POWER_PRUNING_GRAPH.key("power_table", context_a.config)
+        context_b = ExperimentContext(NETWORK_SPECS[0], "smoke",
+                                      backend=spec_b)
+        after = POWER_PRUNING_GRAPH.key("power_table", context_a.config)
+        assert after == before
+        assert context_a.runner.key("power_table") == before
+        assert context_b.runner.key("power_table") != before
+        assert context_a.runner.ops.backend is spec_a
+        assert context_b.runner.ops.backend is spec_b
 
     def test_redefined_backend_spec_invalidates_keys(self):
         try:
@@ -195,7 +223,7 @@ class TestBackendKeyedStageCache:
                                 energy_factor=1.5),
                 replace=True)
             after = self._keys(backend="test-ephemeral")
-            for name in POWER_PRUNING_STAGES:
+            for name in POWER_PRUNING_GRAPH.names():
                 assert before[name] != after[name], name
         finally:
             from repro.hw import registry

@@ -10,7 +10,6 @@ from repro.power.characterization import WeightPowerTable
 from repro.sim.dynamic_timing import (
     dynamic_arrival_times,
     dynamic_delays,
-    output_bus_arrivals,
 )
 from repro.sim.logic import bus_inputs
 from repro.sim.static_timing import static_max_delay

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles.netlists import read_output_bus
 from repro.netlist import NetlistBuilder, build_mac_unit
 from repro.netlist.adder import kogge_stone_adder, ripple_carry_adder
 from repro.netlist.gates import GateType, Netlist
 from repro.netlist.multiplier import booth_multiplier, signed_array_multiplier
-from repro.sim.logic import bus_inputs, evaluate, read_output_bus
+from repro.sim.logic import bus_inputs, evaluate
 
 int8s = st.integers(min_value=-128, max_value=127)
 

@@ -19,7 +19,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from oracles import array_power
 from oracles import stage_keys as oracle
-from repro.core import stages
 from repro.core.artifacts import ArtifactStore
 from repro.core.pipeline import POWER_PRUNING_GRAPH
 from repro.core.stages import PipelineOps, StageRunner
@@ -43,11 +42,12 @@ BUILTIN_BACKENDS = ("nangate15-booth", "nangate15-array",
 #: sha256 over every stage key and point key of the points
 #: :func:`_accel_points` expands for the built-in backends.  A change
 #: that moves it orphans every cached artifact; only a deliberate stage
-#: version bump or graph rewiring may update it.  Last moved by the
-#: shared ``accel_layers`` trace (``accel_schedule`` and ``accel_eval``
-#: version 2); every key upstream of it stayed as it was.
+#: version bump or graph rewiring may update it.  Last moved by
+#: ``accel_schedule`` version 3 (a schedule pickles as its grid): only
+#: the ``accel_schedule`` and ``accel_eval`` keys and, through the graph
+#: fingerprint, the point keys moved.
 PINNED_KEYS_DIGEST = (
-    "a3cf55a7a202d416f89c8959dd2960acb2f4c86661c5e385bcc40e8e7e51890a")
+    "1f2fc05740886ae6d60a8b6383fb2c5e8d9bcd297da668b7e0439fa5d744760d")
 
 
 def _accel_points(backend):
@@ -172,9 +172,9 @@ def test_a_runner_keys_each_stage_once(monkeypatch):
     for name, key in POWER_PRUNING_GRAPH.keys(config).items():
         store.put(key, name)
     payloads = []
-    real = stages.backend_key_payload
-    monkeypatch.setattr(stages, "backend_key_payload",
-                        lambda cfg: payloads.append(1) or real(cfg))
+    real = HardwareBackend.key_payload
+    monkeypatch.setattr(HardwareBackend, "key_payload",
+                        lambda spec: payloads.append(1) or real(spec))
     runner = StageRunner(POWER_PRUNING_GRAPH, PipelineOps(config), store)
     for _ in range(3):
         assert runner.get("accel_eval") == "accel_eval"

@@ -9,11 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import array_power
+from oracles.netlists import read_output_bus
 from repro.netlist import NetlistBuilder
 from repro.netlist.adder import kogge_stone_adder, ripple_carry_adder
 from repro.netlist.multiplier import booth_multiplier
 from repro.power.transitions import TransitionDistribution
-from repro.sim.logic import bus_inputs, evaluate, read_output_bus
+from repro.sim.logic import bus_inputs, evaluate
 from repro.systolic import SystolicConfig, schedule_matmul
 from repro.nn.restrict import ActivationFilter
 
@@ -91,13 +93,28 @@ class TestTilingProperties:
         config = SystolicConfig(rows=rows, cols=cols)
         schedule = schedule_matmul(k, n, m, config)
         covered = np.zeros((k, n), dtype=int)
-        for tile in schedule:
+        for tile in array_power.tiles_of(schedule):
             assert 1 <= tile.rows_used <= rows
             assert 1 <= tile.cols_used <= cols
             covered[tile.row_start:tile.row_stop,
                     tile.col_start:tile.col_stop] += 1
         # exact partition: every weight sits in exactly one tile
         assert (covered == 1).all()
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 400), st.integers(1, 400), st.integers(1, 64),
+           st.integers(2, 128), st.integers(2, 128))
+    def test_block_vectors_partition_each_axis(self, k, n, m, rows, cols):
+        """Every block is full but the last one of its axis."""
+        schedule = schedule_matmul(k, n, m,
+                                   SystolicConfig(rows=rows, cols=cols))
+        for blocks, size, block in ((schedule.row_blocks, k, rows),
+                                    (schedule.col_blocks, n, cols)):
+            assert sum(blocks) == size
+            assert all(b == block for b in blocks[:-1])
+            assert 1 <= blocks[-1] <= block
+        assert len(schedule) == len(schedule.row_blocks) * len(
+            schedule.col_blocks)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 300), st.integers(1, 300), st.integers(1, 64))

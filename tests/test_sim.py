@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles.netlists import read_output_bus
 from repro.cells import default_library
 from repro.netlist import NetlistBuilder, build_mac_unit
 from repro.sim import (
@@ -18,7 +19,7 @@ from repro.sim import (
     toggle_rates,
 )
 from repro.sim.dynamic_timing import dynamic_arrival_times
-from repro.sim.logic import bus_inputs, read_output_bus
+from repro.sim.logic import bus_inputs
 from repro.sim.static_timing import input_bus_delays
 from repro.sim.switching import stream_toggle_counts
 

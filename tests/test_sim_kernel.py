@@ -19,7 +19,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import sim_kernels as oracle
-from oracles.netlists import AWKWARD_BATCHES, random_feed, random_netlists
+from oracles.netlists import (
+    AWKWARD_BATCHES,
+    random_feed,
+    random_netlists,
+    read_output_bus,
+)
 from repro.cells import default_library
 from repro.netlist import NetlistBuilder, build_mac_unit
 from repro.netlist.gates import GateType
@@ -341,8 +346,6 @@ class TestPackingPrimitives:
 
     @pytest.mark.parametrize("pair_halves", [False, True])
     def test_read_output_bus_accepts_packed_values(self, pair_halves):
-        from repro.sim.logic import read_output_bus
-
         mac = build_mac_unit()
         rng = np.random.default_rng(21)
         batch = 130

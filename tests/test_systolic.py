@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import array_power
 from repro.power.characterization import WeightPowerTable
 from repro.systolic import (
     OPTIMIZED_HW,
@@ -14,10 +15,6 @@ from repro.systolic import (
     SystolicConfig,
     TransitionStatsCollector,
     schedule_matmul,
-)
-from repro.systolic.mapping import (
-    conv2d_matmul_shape,
-    dense_matmul_shape,
 )
 
 
@@ -47,16 +44,16 @@ class TestMapping:
     def test_single_tile(self):
         schedule = schedule_matmul(32, 16, 100, SystolicConfig())
         assert len(schedule) == 1
-        tile = schedule.tiles[0]
-        assert tile.rows_used == 32 and tile.cols_used == 16
-        assert tile.cycles() == 32 + 100 + 32 + 16
+        assert schedule.row_blocks == (32,)
+        assert schedule.col_blocks == (16,)
+        assert schedule.total_cycles == 32 + 100 + 32 + 16
 
     def test_multi_tile_grid(self):
         schedule = schedule_matmul(150, 70, 10, SystolicConfig())
         # ceil(150/64) x ceil(70/64) = 3 x 2 tiles
         assert len(schedule) == 6
-        covered = sum(t.rows_used * t.cols_used for t in schedule)
-        assert covered == 150 * 70
+        assert schedule.row_blocks == (64, 64, 22)
+        assert schedule.col_blocks == (64, 6)
 
     def test_total_macs(self):
         schedule = schedule_matmul(10, 20, 30, SystolicConfig())
@@ -69,19 +66,6 @@ class TestMapping:
     def test_invalid_dims(self):
         with pytest.raises(ValueError):
             schedule_matmul(0, 4, 4, SystolicConfig())
-
-    def test_conv_shape(self):
-        k, n, m = conv2d_matmul_shape(3, 6, (5, 5), (28, 28), batch=2)
-        assert (k, n, m) == (75, 6, 28 * 28 * 2)
-
-    def test_dense_shape(self):
-        assert dense_matmul_shape(120, 84, batch=7) == (120, 84, 7)
-
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            conv2d_matmul_shape(0, 6, (5, 5), (28, 28))
-        with pytest.raises(ValueError):
-            dense_matmul_shape(10, 0)
 
 
 class TestSystolicArray:
@@ -107,6 +91,33 @@ class TestSystolicArray:
         acts = rng.integers(-128, 128, (k, m))
         out = SystolicArray().run_layer(weights, acts)
         np.testing.assert_array_equal(out, weights.T @ acts)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(1, 80), st.integers(1, 80), st.integers(2, 40),
+           st.integers(1, 24), st.integers(1, 24))
+    def test_block_walk_feeds_stats_in_tile_order(self, k, n, m, rows,
+                                                  cols):
+        """On any geometry the block walk is exact and feeds the
+        collector what a walk over the oracle's tiles feeds it."""
+        array = SystolicArray(SystolicConfig(rows=rows, cols=cols))
+        rng = np.random.default_rng(k * 1000 + n * 10 + m)
+        weights = rng.integers(-127, 128, (k, n))
+        acts = rng.integers(-128, 128, (k, m))
+        stats = TransitionStatsCollector(max_psum_samples=500)
+        out = array.run_layer(weights, acts, stats=stats)
+        np.testing.assert_array_equal(out, weights.T @ acts)
+        want = TransitionStatsCollector(max_psum_samples=500)
+        schedule = schedule_matmul(k, n, m, array.config)
+        for tile in array_power.tiles_of(schedule):
+            rows_slice = slice(tile.row_start, tile.row_stop)
+            array._collect_tile_stats(
+                weights[rows_slice, tile.col_start:tile.col_stop],
+                acts[rows_slice], want)
+        np.testing.assert_array_equal(
+            stats.activation_distribution().matrix,
+            want.activation_distribution().matrix)
+        for got, expected in zip(stats.psum_pairs(), want.psum_pairs()):
+            np.testing.assert_array_equal(got, expected)
 
     def test_operand_range_checked(self):
         arr = SystolicArray()
