@@ -2,11 +2,13 @@
 
 import dataclasses
 import json
+import platform
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from repro.core import stages
 from repro.core.artifacts import ArtifactStore, hash_key
 from repro.core.pipeline import POWER_PRUNING_GRAPH, PipelineConfig, \
     PowerPruner
@@ -127,6 +129,32 @@ class TestStageRunner:
         assert StageRunner(graph, _ops(y=5), store).get("c") == 15
         # a and b were reused; only c recomputed
         assert counts == {"a": 1, "b": 1, "c": 2}
+
+    def test_heap_released_after_stages_over_memory_only_inputs(
+            self, tmp_path, monkeypatch):
+        events = []
+        monkeypatch.setattr(stages, "_release_freed_heap",
+                            lambda: events.append("release"))
+
+        def stage(name, **kwargs):
+            return Stage(name, lambda ops, inp: events.append(name) or 1,
+                         **kwargs)
+
+        graph = StageGraph()
+        graph.add(stage("data", persist=False))
+        graph.add(stage("train", deps=("data",)))
+        graph.add(stage("light", deps=("train",)))
+        StageRunner(graph, _ops(), ArtifactStore(tmp_path)).get("light")
+        assert events == ["data", "train", "release", "light"]
+        # Served from the store, nothing runs and nothing is released.
+        StageRunner(graph, _ops(), ArtifactStore(tmp_path)).get("light")
+        StageRunner(graph, _ops(), ArtifactStore(tmp_path)).get("train")
+        assert events == ["data", "train", "release", "light"]
+
+    def test_heap_release_resolves_on_glibc(self):
+        if platform.libc_ver()[0] == "glibc":
+            assert stages._malloc_trim() is not None
+        stages._release_freed_heap()
 
     def test_dependencies_must_exist(self):
         graph = StageGraph()
