@@ -44,6 +44,7 @@ import platform
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -52,6 +53,7 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tests"))
 
 from oracles import sim_kernels as oracle  # noqa: E402
+from repro import cpus  # noqa: E402
 from repro.cells import default_library  # noqa: E402
 from repro.netlist import build_mac_unit  # noqa: E402
 from repro.power.binning import (  # noqa: E402
@@ -244,18 +246,20 @@ def bench_char_table(n_samples: int, n_transitions: int,
             profiler, timing_weights, n_transitions=n_transitions,
             seed=seed)
 
-    loop_table = timing_loop()
-    batched_table = timing_batched()
-    np.testing.assert_array_equal(loop_table.max_delay_ps,
-                                  batched_table.max_delay_ps)
-    np.testing.assert_array_equal(loop_table.combo_weight,
-                                  batched_table.combo_weight)
-    np.testing.assert_array_equal(loop_table.combo_delay_ps,
-                                  batched_table.combo_delay_ps)
-    assert loop_table.time_scale == batched_table.time_scale
+    # One shard on both sides: this times batching, not sharding.
+    with mock.patch.object(cpus, "usable_cores", lambda: 1):
+        loop_table = timing_loop()
+        batched_table = timing_batched()
+        np.testing.assert_array_equal(loop_table.max_delay_ps,
+                                      batched_table.max_delay_ps)
+        np.testing.assert_array_equal(loop_table.combo_weight,
+                                      batched_table.combo_weight)
+        np.testing.assert_array_equal(loop_table.combo_delay_ps,
+                                      batched_table.combo_delay_ps)
+        assert loop_table.time_scale == batched_table.time_scale
 
-    timing_loop_s = _best_of(timing_loop, repeats)
-    timing_batched_s = _best_of(timing_batched, repeats)
+        timing_loop_s = _best_of(timing_loop, repeats)
+        timing_batched_s = _best_of(timing_batched, repeats)
 
     return {
         "power": {

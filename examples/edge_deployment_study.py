@@ -11,6 +11,8 @@ Run:
     python examples/edge_deployment_study.py
 """
 
+import logging
+
 from repro.experiments.config import NETWORK_SPECS
 from repro.experiments.runner import ExperimentContext
 from repro.nn.restrict import ActivationFilter, WeightRestriction
@@ -19,8 +21,11 @@ from repro import scale_voltage
 
 
 def main() -> None:
+    # Stage progress is logged on "repro.pipeline" at INFO.
+    logging.basicConfig(level=logging.INFO,
+                        format="[powerpruner] %(message)s")
     spec = NETWORK_SPECS[1]  # ResNet-20 on the CIFAR-10-like task
-    context = ExperimentContext(spec, scale="ci", verbose=True)
+    context = ExperimentContext(spec, scale="ci")
     print(f"baseline accuracy:  {context.accuracy_orig * 100:.1f}%")
     print(f"pruned accuracy:    {context.accuracy_pruned * 100:.1f}%")
 

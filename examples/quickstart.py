@@ -9,10 +9,15 @@ Run:
     python examples/quickstart.py
 """
 
+import logging
+
 from repro import PipelineConfig, PowerPruner, format_table1
 
 
 def main() -> None:
+    # Stage progress is logged on "repro.pipeline" at INFO.
+    logging.basicConfig(level=logging.INFO,
+                        format="[powerpruner] %(message)s")
     config = PipelineConfig(
         network="lenet5",
         dataset="cifar10",
@@ -25,7 +30,6 @@ def main() -> None:
         char_samples=1500,     # paper uses 10000
         timing_transitions=8000,  # paper enumerates all 65536
         n_restarts=10,         # paper uses 20
-        verbose=True,
     )
     pruner = PowerPruner(config)
     report = pruner.run()

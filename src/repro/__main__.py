@@ -13,9 +13,9 @@ Usage::
     python -m repro --list-backends
     ...
 
-``--jobs`` fans independent units (Table I rows, figure panels) out
-across processes (``0`` = all cores); experiments with a single unit of
-work spend it sharding the per-weight characterization stage instead.
+``--jobs`` fans independent units (Table I rows, figure panels,
+backends) out across processes (``0`` = all cores); the per-weight
+characterization shards over each process's share of the cores.
 ``--cache-dir`` turns on the on-disk content-addressed artifact cache:
 every stage of the pipeline graph (training, characterization,
 selection, ...) is stored under a key derived from the config *and the
@@ -104,8 +104,7 @@ def main(argv=None) -> int:
                         choices=("smoke", "ci", "paper"),
                         help="experiment scale (default: ci)")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="processes for independent rows/panels, or "
-                             "for sharding single-unit characterization "
+                        help="processes for independent rows/panels "
                              "(0 = all cores; default: 1)")
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="on-disk artifact cache shared across runs, "

@@ -22,19 +22,10 @@ import signal
 import traceback
 from typing import Callable, List, Optional, Sequence, TypeVar
 
-from repro.cpus import usable_cores
+from repro import cpus
 
 S = TypeVar("S")
 T = TypeVar("T")
-
-#: How many ``parallel_map`` pool workers share this process's cores.
-_pool_jobs = 1
-
-
-def share_cores(jobs: int) -> None:
-    """Pool-worker initializer: this process is one of ``jobs`` workers."""
-    global _pool_jobs
-    _pool_jobs = jobs
 
 
 def _blas_threads() -> int:
@@ -47,7 +38,7 @@ def _blas_threads() -> int:
         value = os.environ.get(var, "")
         if value.isdigit() and int(value) > 0:
             return int(value)
-    return usable_cores()
+    return cpus.usable_cores()
 
 
 def ladder_width(steps: int) -> int:
@@ -61,8 +52,7 @@ def ladder_width(steps: int) -> int:
     """
     if "fork" not in multiprocessing.get_all_start_methods():
         return 1
-    share = usable_cores() // (_pool_jobs * _blas_threads())
-    return max(1, min(steps, share))
+    return max(1, min(steps, cpus.core_share() // _blas_threads()))
 
 
 def shippable_exception(error: BaseException) -> Optional[BaseException]:

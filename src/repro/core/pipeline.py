@@ -64,10 +64,6 @@ class PipelineConfig:
     #: stage cache key, so artifacts from different backends can never
     #: collide in a shared store.
     backend: Union[str, HardwareBackend] = DEFAULT_BACKEND_ID
-    #: Processes to shard per-weight characterization over (0 = all
-    #: cores).  Sharding is bit-for-bit equal to a serial run, so this
-    #: knob is deliberately absent from all stage cache keys.
-    char_jobs: int = 1
     num_classes: int = 10
     width_mult: float = 0.5          # paper: 1.0
     depth_mult: float = 1.0
@@ -100,7 +96,6 @@ class PipelineConfig:
     #: shares the whole training/characterization prefix.
     accel: Optional[AcceleratorSpec] = None
     seed: int = 0
-    verbose: bool = False
 
     def __post_init__(self) -> None:
         if not isinstance(self.backend, HardwareBackend):

@@ -48,6 +48,7 @@ module from that record.
 from __future__ import annotations
 
 import ctypes
+import logging
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import (
@@ -83,6 +84,10 @@ __all__ = [
     "shared_stage_keys",
     "build_power_pruning_graph",
 ]
+
+#: Stage progress (``stage <name>: computing``, accuracies, selected
+#: thresholds) at INFO.
+_log = logging.getLogger("repro.pipeline")
 
 
 # ----------------------------------------------------------------------
@@ -327,8 +332,7 @@ class PipelineOps:
         return self.backend.build_voltage_model()
 
     def log(self, message: str) -> None:
-        if self.config.verbose:
-            print(f"[powerpruner] {message}")
+        _log.info(message)
 
     # -- dataset / model ----------------------------------------------
     def build_dataset(self):
@@ -374,7 +378,7 @@ class PipelineOps:
         decay = tuple(e for e in config.lr_decay_epochs if e < epochs)
         return Trainer(model, TrainingConfig(
             epochs=epochs, batch_size=config.batch_size, lr=config.lr,
-            lr_decay_epochs=decay, seed=config.seed, verbose=False))
+            lr_decay_epochs=decay, seed=config.seed))
 
     def retrain_fn(self, dataset):
         def retrain(model) -> float:
@@ -407,14 +411,7 @@ class PipelineOps:
         return stats
 
     def characterize_power(self, stats):
-        """Per-weight power table from measured operand statistics.
-
-        ``config.char_jobs`` shards the per-weight simulations across
-        processes, each shard batching its weights into one-launch
-        megabatch evaluations; both are bit-for-bit identical to the
-        serial per-weight loop, which is why ``char_jobs`` takes no
-        part in the stage cache key.
-        """
+        """Per-weight power table from measured operand statistics."""
         from repro.power import WeightPowerCharacterizer
 
         act_dist = stats.activation_distribution()
@@ -427,19 +424,10 @@ class PipelineOps:
             calibrate_to_uw=self.backend.power_anchor_uw,
         )
         return characterizer.characterize(
-            self.config.char_weights(), seed=self.config.seed,
-            jobs=getattr(self.config, "char_jobs", 1))
+            self.config.char_weights(), seed=self.config.seed)
 
     def characterize_timing(self, candidate_weights: Sequence[int]):
-        """Per-weight timing table for the power-selected candidates.
-
-        ``config.char_jobs`` shards the per-weight dynamic timing
-        analyses across processes, each shard concatenating its
-        weights into flat one-launch DTA streams; each weight
-        subsamples its transitions from its own ``(seed, weight)``-keyed
-        RNG, so sharding is bit-for-bit neutral and takes no part in
-        the stage cache key.
-        """
+        """Per-weight timing table for the power-selected candidates."""
         from repro.timing import WeightDelayProfiler, WeightTimingTable
 
         profiler = WeightDelayProfiler(self.mac, self.library)
@@ -449,7 +437,6 @@ class PipelineOps:
             seed=self.config.seed,
             floor_ps=self.config.timing_floor_ps,
             calibrate_to_ps=self.backend.delay_anchor_ps,
-            jobs=getattr(self.config, "char_jobs", 1),
         )
 
     def recharacterize_filtered(self, allowed_activations, stats,
@@ -478,8 +465,7 @@ class PipelineOps:
             calibrate_to_uw=None,
         )
         table = characterizer.characterize(
-            self.config.char_weights(), seed=self.config.seed,
-            jobs=getattr(self.config, "char_jobs", 1))
+            self.config.char_weights(), seed=self.config.seed)
         return WeightPowerTable(
             weights=table.weights,
             power_uw=table.dynamic_uw * base_table.energy_scale
@@ -499,11 +485,7 @@ class PipelineOps:
         (:attr:`PipelineConfig.accel_geometry` / ``accel_point``)
         resolve it.
         """
-        from repro.systolic.spec import AcceleratorSpec
-
-        spec = getattr(self.config, "accel", None)
-        if spec is None:
-            spec = AcceleratorSpec()
+        spec = self.config.accel_spec()
         return spec, spec.resolve_config(self.systolic_config)
 
     # -- measurement ---------------------------------------------------

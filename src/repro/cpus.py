@@ -1,9 +1,16 @@
 """How many CPUs this process may use.
 
 Imports only :mod:`os`, so every layer can ask without an import cycle.
+A ``parallel_map`` pool worker is one of several processes on the
+usable cores; :func:`core_share` is its part of them, which the
+threshold ladders and the per-weight characterization spend.  No
+option sets it: it comes from what the process can observe.
 """
 
 import os
+
+#: How many ``parallel_map`` pool workers share this process's cores.
+_pool_jobs = 1
 
 
 def usable_cores() -> int:
@@ -12,3 +19,14 @@ def usable_cores() -> int:
         return max(1, len(os.sched_getaffinity(0)))
     except AttributeError:  # no affinity API (macOS, Windows)
         return max(1, os.cpu_count() or 1)
+
+
+def share_cores(jobs: int) -> None:
+    """Pool-worker initializer: this process is one of ``jobs`` workers."""
+    global _pool_jobs
+    _pool_jobs = jobs
+
+
+def core_share() -> int:
+    """This process's share of the usable cores (at least one)."""
+    return max(1, usable_cores() // _pool_jobs)

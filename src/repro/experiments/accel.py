@@ -44,8 +44,8 @@ def run(scale: str = "ci",
         backends: Optional[Sequence] = None,
         networks: Optional[Sequence] = None,
         seeds: Optional[Sequence[int]] = None,
-        jobs: Optional[int] = 1, char_jobs: int = 1,
-        cache_dir=None, verbose: bool = False,
+        jobs: Optional[int] = 1,
+        cache_dir=None,
         progress: bool = False) -> SweepResult:
     """Evaluate every accelerator design point of the grid.
 
@@ -63,13 +63,10 @@ def run(scale: str = "ci",
         networks: Network names, labels or specs.
         seeds: Pipeline seeds (multi-seed grids aggregate mean±std).
         jobs: Processes for independent grid points (0 = all cores).
-        char_jobs: Processes each point spends sharding per-weight
-            characterization.
         cache_dir: Shared on-disk artifact cache; design points
             invalidate only the ``accel_*`` stage keys, so the
             training/characterization prefix is reused across the
             whole design space.
-        verbose: Log stage execution.
         progress: Stream per-point progress to stderr.
     """
     sweep = make_sweep_spec("accel", backends=backends,
@@ -78,7 +75,6 @@ def run(scale: str = "ci",
                             hw_variants=hw_variants,
                             stream_batch=stream_batch)
     return run_sweep(sweep, jobs=jobs, cache_dir=cache_dir,
-                     char_jobs=char_jobs, verbose=verbose,
                      progress=progress)
 
 
@@ -125,9 +121,6 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="processes for independent grid points "
                              "(0 = all cores; default: 1)")
-    parser.add_argument("--char-jobs", type=int, default=1, metavar="N",
-                        help="processes each point spends sharding "
-                             "per-weight characterization (default: 1)")
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="on-disk artifact cache shared across "
                              "points, runs and workers")
@@ -189,7 +182,7 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error(str(error))
 
     result = run_sweep(sweep, jobs=args.jobs, cache_dir=args.cache_dir,
-                       char_jobs=args.char_jobs, progress=True)
+                       progress=True)
     print(format_sweep(result))
     if args.csv:
         result.write_csv(args.csv)

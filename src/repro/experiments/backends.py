@@ -10,12 +10,10 @@ or adder style, or a different process/voltage operating point.
 
 This module is a thin adapter over the declarative sweep engine
 (:mod:`repro.experiments.sweep`): the backend axis is just a sweep
-grid.  Backend runs execute sequentially; ``jobs`` is spent *inside*
-each run to shard the per-weight power and timing characterization
-stages across processes (per-weight RNG seeding keeps the sharded
-tables bit-for-bit identical to serial ones).  A shared ``cache_dir``
-is safe across backends: the backend spec participates in every stage
-key, so artifacts can never collide.
+grid, and ``jobs`` runs its points in a process pool as every other
+adapter does.  A shared ``cache_dir`` is safe across backends: the
+backend spec participates in every stage key, so artifacts can never
+collide.
 """
 
 from __future__ import annotations
@@ -62,7 +60,7 @@ def run(scale: str = "ci",
         backend_ids: Optional[Sequence[str]] = None,
         spec: NetworkSpec = NETWORK_SPECS[0],
         seed: int = 0, jobs: Optional[int] = 1,
-        cache_dir=None, verbose: bool = False,
+        cache_dir=None,
         seeds: Optional[Sequence[int]] = None) -> BackendComparison:
     """Run the full pipeline on ``spec`` once per backend.
 
@@ -71,11 +69,10 @@ def run(scale: str = "ci",
         backend_ids: Backends to compare; all registered by default.
         spec: The network/dataset pair (paper's LeNet-5 by default).
         seed: Seed threaded through every stage.
-        jobs: Processes for sharding each run's per-weight power and
-            timing characterization (0 = all cores).
+        jobs: Processes for independent backend x seed runs (0 = all
+            cores).
         cache_dir: Shared on-disk artifact cache; backend-keyed, so
             re-runs and other experiments reuse unchanged stages.
-        verbose: Log stage execution.
         seeds: Several seeds per backend (overrides ``seed``); the
             comparison then carries mean±std aggregates per backend
             and the per-report rows use the first seed.
@@ -86,9 +83,7 @@ def run(scale: str = "ci",
     seed_axis = tuple(seeds) if seeds is not None else (seed,)
     sweep = make_sweep_spec("table1", backends=ids, networks=(spec,),
                             seeds=seed_axis, scale=scale)
-    result = run_sweep(sweep, jobs=1, cache_dir=cache_dir,
-                       char_jobs=1 if jobs is None else jobs,
-                       verbose=verbose)
+    result = run_sweep(sweep, jobs=jobs, cache_dir=cache_dir)
     first_seed = result.sweep.seeds[0]
     rows = [BackendRow(
         backend_id=row.backend_id,

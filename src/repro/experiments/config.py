@@ -100,9 +100,8 @@ NETWORK_TRAINING = {
 
 
 def pipeline_config(spec: NetworkSpec, scale: str = "ci",
-                    seed: int = 0, verbose: bool = False,
+                    seed: int = 0,
                     backend: Union[str, HardwareBackend] = DEFAULT_BACKEND_ID,
-                    char_jobs: int = 1,
                     accel=None) -> PipelineConfig:
     """PipelineConfig for one network spec at the requested scale.
 
@@ -110,12 +109,9 @@ def pipeline_config(spec: NetworkSpec, scale: str = "ci",
         spec: The network/dataset pair.
         scale: Experiment scale (``smoke``/``ci``/``paper``).
         seed: Seed threaded through every stage.
-        verbose: Log stage execution.
         backend: Hardware-backend id or :class:`~repro.hw.HardwareBackend`
             spec.  The config holds the spec, so a user-defined backend
             needs no registry entry, in this process or in a worker.
-        char_jobs: Processes to shard per-weight characterization over
-            (bit-for-bit identical to serial; not part of cache keys).
         accel: Optional :class:`~repro.systolic.spec.AcceleratorSpec`
             design point for the ``accel_*`` stages; keys only those
             stages, so accelerator sweeps share the training/
@@ -127,7 +123,6 @@ def pipeline_config(spec: NetworkSpec, scale: str = "ci",
         lr=training.get("lr", 0.05),
         lr_decay_epochs=training.get("lr_decay_epochs", ()),
         backend=backend,
-        char_jobs=char_jobs,
         accel=accel,
         network=spec.network,
         dataset=spec.dataset,
@@ -146,5 +141,4 @@ def pipeline_config(spec: NetworkSpec, scale: str = "ci",
         power_max_drop=s.power_max_drop,
         delay_max_drop_fraction=s.delay_max_drop_fraction,
         seed=seed,
-        verbose=verbose,
     )

@@ -45,16 +45,10 @@ class Fig2Result:
 
 
 def run(scale: str = "ci", seed: int = 0, cache_dir=None,
-        backend: str = DEFAULT_BACKEND_ID,
-        jobs: Optional[int] = 1) -> Fig2Result:
-    """Characterize weight power under LeNet-5 traffic (paper setup).
-
-    ``jobs`` shards the per-weight characterization itself across
-    processes (bit-for-bit identical to a serial run).
-    """
+        backend: str = DEFAULT_BACKEND_ID) -> Fig2Result:
+    """Characterize weight power under LeNet-5 traffic (paper setup)."""
     context = ExperimentContext(NETWORK_SPECS[0], scale, seed=seed,
-                                cache_dir=cache_dir, backend=backend,
-                                char_jobs=1 if jobs is None else jobs)
+                                cache_dir=cache_dir, backend=backend)
     return Fig2Result(table=context.power_table,
                       threshold_uw=PAPER_THRESHOLD_UW)
 
@@ -73,9 +67,9 @@ def format_series(result: Fig2Result, step: int = 8) -> str:
 
 def main(scale: str = "ci", jobs: Optional[int] = 1,
          cache_dir=None, backend: str = DEFAULT_BACKEND_ID) -> Fig2Result:
-    # Single network, single sweep — ``jobs`` shards the per-weight
-    # characterization stage itself.
-    result = run(scale, cache_dir=cache_dir, backend=backend, jobs=jobs)
+    # Single network, single table — ``jobs`` is accepted for CLI
+    # uniformity; the characterization shards over the process's cores.
+    result = run(scale, cache_dir=cache_dir, backend=backend)
     print("=== Fig. 2: average power per quantized weight value ===")
     print(format_series(result))
     summary = result.summary()

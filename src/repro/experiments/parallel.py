@@ -37,8 +37,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Sequence, Tuple, \
     TypeVar, Union
 
-from repro.core.ladder import share_cores, shippable_exception
-from repro.cpus import usable_cores
+from repro.core.ladder import shippable_exception
+from repro.cpus import share_cores, usable_cores
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -161,7 +161,8 @@ def _pool_outcomes(fn: Callable[[T], R], items: Sequence[T], jobs: int,
     outcomes: List[Union[None, Tuple[bool, Any], TaskFailure]] = \
         [None] * len(items)
     deadline = None if timeout is None else time.monotonic() + timeout
-    # Workers record their share of the cores for threshold ladders.
+    # Workers record their share of the cores for threshold ladders
+    # and characterization shards.
     pool = ProcessPoolExecutor(max_workers=jobs, initializer=share_cores,
                                initargs=(jobs,))
     try:

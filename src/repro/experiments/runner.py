@@ -45,7 +45,6 @@ class ExperimentContext:
         spec: The network/dataset pair.
         scale: Experiment scale (``smoke``/``ci``/``paper``).
         seed: Seed threaded through every stage.
-        verbose: Log stage execution.
         cache_dir: Optional on-disk artifact cache shared across
             contexts, runs and processes.
         store: An existing :class:`ArtifactStore` to share in-process;
@@ -53,25 +52,21 @@ class ExperimentContext:
         backend: Hardware-backend id or spec (see :mod:`repro.hw`);
             keys every stage artifact, so contexts on different
             backends can share a store without ever colliding.
-        char_jobs: Processes to shard per-weight characterization over.
         accel: Optional :class:`~repro.systolic.spec.AcceleratorSpec`
             design point for :meth:`accel_eval`; keys only the
             ``accel_*`` stages.
     """
 
     def __init__(self, spec: NetworkSpec, scale: str = "ci",
-                 seed: int = 0, verbose: bool = False,
+                 seed: int = 0,
                  cache_dir=None,
                  store: Optional[ArtifactStore] = None,
                  backend=DEFAULT_BACKEND_ID,
-                 char_jobs: int = 1,
                  accel=None) -> None:
         self.spec = spec
         self.scale = scale
         self.config: PipelineConfig = pipeline_config(
-            spec, scale, seed=seed, verbose=verbose, backend=backend,
-            char_jobs=char_jobs,
-            accel=accel)
+            spec, scale, seed=seed, backend=backend, accel=accel)
         self.pruner = PowerPruner(self.config, cache_dir=cache_dir,
                                   store=store)
         self.runner = self.pruner.runner()
@@ -126,12 +121,7 @@ class ExperimentContext:
         return self.runner.get("accel_eval")
 
     def timing_table_key(self, candidate_weights) -> str:
-        """Cache key of :meth:`timing_table` for a candidate set.
-
-        ``char_jobs`` is deliberately absent: sharded characterization
-        is bit-for-bit identical to serial, so the artifact must be
-        shared across any sharding choice.
-        """
+        """Cache key of :meth:`timing_table` for a candidate set."""
         candidates = tuple(sorted(int(w) for w in candidate_weights))
         config = self.config
         return hash_key({
@@ -152,8 +142,6 @@ class ExperimentContext:
         Sweeps probe candidate sets that differ from the pipeline's own
         power selection, so this is keyed directly on the candidates
         (plus the timing config fields) in the same artifact store.
-        ``char_jobs`` shards the per-weight analyses across processes
-        without changing a bit of the result.
         """
         candidates = tuple(sorted(int(w) for w in candidate_weights))
         return self.store.get_or_compute(

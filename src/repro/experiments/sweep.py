@@ -446,25 +446,17 @@ def expand(sweep: SweepSpec) -> List[SweepPoint]:
     return points
 
 
-def point_config(point: SweepPoint, char_jobs: int = 1,
-                 verbose: bool = False) -> PipelineConfig:
+def point_config(point: SweepPoint) -> PipelineConfig:
     """The pipeline config one grid point runs under."""
     return pipeline_config(point.spec, point.scale, seed=point.seed,
-                           verbose=verbose, backend=point.backend,
-                           char_jobs=char_jobs, accel=point.accel)
-
-
-#: Config fields that never influence results and must therefore never
-#: enter a cache key (sharding is bit-for-bit; the backend is hashed via
-#: its full spec payload instead of its registry id).
-_NON_KEY_FIELDS = ("backend", "char_jobs", "verbose")
+                           backend=point.backend, accel=point.accel)
 
 
 def point_cache_key(point: SweepPoint, config: PipelineConfig) -> str:
     """Sweep-level cache key of one grid point's finished result.
 
     Hashes the experiment, the point's threshold, the full backend spec
-    and every result-relevant config field, so a re-run (or a larger
+    and every other config field, so a re-run (or a larger
     sweep containing this point) reuses the finished row — including
     its per-threshold retraining, which is not a pipeline stage of its
     own.  The stage graph's fingerprint and the candidate timing-table
@@ -480,7 +472,7 @@ def point_cache_key(point: SweepPoint, config: PipelineConfig) -> str:
         "threshold": point.threshold,
         "config": {f.name: getattr(config, f.name)
                    for f in dataclass_fields(config)
-                   if f.name not in _NON_KEY_FIELDS},
+                   if f.name != "backend"},
     })
 
 
@@ -684,12 +676,10 @@ def _execute_point(point: SweepPoint, context: ExperimentContext
 
 @dataclass(frozen=True)
 class PointTask:
-    """One grid point plus worker-side context knobs (picklable)."""
+    """One grid point plus the cache its worker shares (picklable)."""
 
     point: SweepPoint
     cache_dir: Optional[str]
-    char_jobs: int
-    verbose: bool
 
     def describe(self) -> str:
         return self.point.describe()
@@ -698,10 +688,9 @@ class PointTask:
 def _run_point(task: PointTask) -> SweepRow:
     point = task.point
     context = ExperimentContext(point.spec, point.scale,
-                                seed=point.seed, verbose=task.verbose,
+                                seed=point.seed,
                                 cache_dir=task.cache_dir,
                                 backend=point.backend,
-                                char_jobs=task.char_jobs,
                                 accel=point.accel)
     return _execute_point(point, context)
 
@@ -765,8 +754,7 @@ class _ProgressReporter:
 
 
 def _precached_count(points: Sequence[SweepPoint], cache: Optional[str],
-                     store: Optional[ArtifactStore],
-                     char_jobs: int) -> Optional[int]:
+                     store: Optional[ArtifactStore]) -> Optional[int]:
     """How many grid points the artifact store can already serve.
 
     Probes the sweep-level point keys in the given store (or a throwaway
@@ -778,8 +766,7 @@ def _precached_count(points: Sequence[SweepPoint], cache: Optional[str],
         store = ArtifactStore(cache)
     return sum(
         1 for point in points
-        if point_cache_key(point,
-                           point_config(point, char_jobs)) in store)
+        if point_cache_key(point, point_config(point)) in store)
 
 
 # ----------------------------------------------------------------------
@@ -1178,8 +1165,7 @@ def format_sweep(result: SweepResult) -> str:
 # the engine
 # ----------------------------------------------------------------------
 def run_sweep(sweep: SweepSpec, jobs: Optional[int] = 1,
-              cache_dir=None, char_jobs: int = 1,
-              verbose: bool = False,
+              cache_dir=None,
               store: Optional[ArtifactStore] = None,
               progress: bool = False) -> SweepResult:
     """Expand a sweep grid and run every point, sharing all caches.
@@ -1197,10 +1183,6 @@ def run_sweep(sweep: SweepSpec, jobs: Optional[int] = 1,
             the shared stage prefixes between workers (a run-scoped
             scratch cache is used when omitted, so parallel grids
             never recompute a shared prefix per point).
-        char_jobs: Processes each point spends sharding its per-weight
-            power/timing characterization (useful for grids whose
-            point count is smaller than the core count).
-        verbose: Log stage execution.
         store: An existing in-process store to share (serial runs
             only); overrides ``cache_dir``.
         progress: Stream a per-point done/cached/remaining report to
@@ -1211,6 +1193,8 @@ def run_sweep(sweep: SweepSpec, jobs: Optional[int] = 1,
         raise ValueError(f"unknown sweep experiment "
                          f"{sweep.experiment!r}; choose from "
                          f"{sweep_experiments()}")
+    if jobs is not None and jobs < 0:
+        raise ValueError("jobs must be >= 0")
     points = expand(sweep)
     order = _scheduled_order(points)
     cache = str(cache_dir) if cache_dir is not None else None
@@ -1238,17 +1222,14 @@ def run_sweep(sweep: SweepSpec, jobs: Optional[int] = 1,
     if effective == 1:
         shared = store if store is not None else ArtifactStore(cache)
         if reporter is not None:
-            reporter.start(sweep,
-                           _precached_count(points, cache, shared,
-                                            char_jobs),
+            reporter.start(sweep, _precached_count(points, cache, shared),
                            jobs=1)
         hits_before, misses_before = shared.hits, shared.misses
         for index in order:
             point = points[index]
             context = ExperimentContext(
-                point.spec, point.scale, seed=point.seed,
-                verbose=verbose, store=shared, backend=point.backend,
-                char_jobs=char_jobs, accel=point.accel)
+                point.spec, point.scale, seed=point.seed, store=shared,
+                backend=point.backend, accel=point.accel)
             try:
                 rows[index] = _execute_point(point, context)
             except ParallelTaskError:
@@ -1262,15 +1243,12 @@ def run_sweep(sweep: SweepSpec, jobs: Optional[int] = 1,
         cache_hits = shared.hits - hits_before
         cache_misses = shared.misses - misses_before
     else:
-        tasks = [PointTask(points[index], cache, char_jobs, verbose)
-                 for index in order]
+        tasks = [PointTask(points[index], cache) for index in order]
         if reporter is not None:
             # The scratch cache starts empty, so only a user-provided
             # cache_dir can pre-serve points.
             probe = None if scratch is not None else cache
-            reporter.start(sweep,
-                           _precached_count(points, probe, None,
-                                            char_jobs),
+            reporter.start(sweep, _precached_count(points, probe, None),
                            jobs=effective)
         on_result = (None if reporter is None else
                      (lambda slot, row:
@@ -1352,9 +1330,6 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="processes for independent grid points "
                              "(0 = all cores; default: 1)")
-    parser.add_argument("--char-jobs", type=int, default=1, metavar="N",
-                        help="processes each point spends sharding "
-                             "per-weight characterization (default: 1)")
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="on-disk artifact cache shared across "
                              "points, runs and workers")
@@ -1423,7 +1398,7 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error(str(error))
 
     result = run_sweep(sweep, jobs=args.jobs, cache_dir=args.cache_dir,
-                       char_jobs=args.char_jobs, progress=True)
+                       progress=True)
     print(format_sweep(result))
     if args.csv:
         result.write_csv(args.csv)

@@ -60,7 +60,7 @@ PAPER_TABLE1: Dict[str, Dict[str, object]] = {
 
 def run_result(scale: str = "ci",
                specs: Sequence[NetworkSpec] = NETWORK_SPECS,
-               verbose: bool = False, jobs: Optional[int] = 1,
+               jobs: Optional[int] = 1,
                cache_dir=None,
                backend: str = DEFAULT_BACKEND_ID,
                seeds: Sequence[int] = (0,)) -> SweepResult:
@@ -69,13 +69,12 @@ def run_result(scale: str = "ci",
     ``result.aggregate()``."""
     sweep = make_sweep_spec("table1", backends=(backend,),
                             networks=specs, seeds=seeds, scale=scale)
-    return run_sweep(sweep, jobs=jobs, cache_dir=cache_dir,
-                     verbose=verbose)
+    return run_sweep(sweep, jobs=jobs, cache_dir=cache_dir)
 
 
 def run(scale: str = "ci",
         specs: Sequence[NetworkSpec] = NETWORK_SPECS,
-        verbose: bool = False, jobs: Optional[int] = 1,
+        jobs: Optional[int] = 1,
         cache_dir=None,
         backend: str = DEFAULT_BACKEND_ID,
         seeds: Sequence[int] = (0,)) -> List[PowerPruningReport]:
@@ -88,7 +87,7 @@ def run(scale: str = "ci",
     With several ``seeds`` the returned list covers every
     network x seed combination in sweep expansion order.
     """
-    result = run_result(scale, specs=specs, verbose=verbose, jobs=jobs,
+    result = run_result(scale, specs=specs, jobs=jobs,
                         cache_dir=cache_dir, backend=backend,
                         seeds=seeds)
     return [row.payload for row in result.rows]

@@ -13,8 +13,8 @@ minimum, the power ordering — is produced by the gate-level simulation.
 
 Every weight value samples its stimulus from its own child RNG keyed on
 ``(seed, weight)``, which makes the table independent of the
-characterization order and lets ``characterize(..., jobs=N)`` shard the
-per-weight simulations across processes with bit-for-bit identical
+characterization order and lets ``characterize`` shard the per-weight
+simulations over the process's core share with bit-for-bit identical
 results (calibration happens after the shards merge).
 """
 
@@ -29,7 +29,7 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.cells.library import CellLibrary
-from repro.cpus import usable_cores
+from repro.cpus import core_share
 from repro.netlist.mac import MacUnit
 from repro.power.binning import BinnedTransitions
 from repro.power.estimator import PowerEstimator
@@ -380,44 +380,39 @@ class WeightPowerCharacterizer:
 
     def characterize(self, weights: Optional[Iterable[int]] = None,
                      seed: int = 2023,
-                     jobs: Optional[int] = 1,
                      batch_weights: Optional[int] = None
                      ) -> WeightPowerTable:
         """Build the per-weight power table.
+
+        The per-weight simulations run in one process per core of this
+        process's share (:func:`repro.cpus.core_share`), at most one
+        per weight.  Thanks to per-weight seeding the sharded table is
+        bit-for-bit identical to a serial one.
 
         Args:
             weights: Weight values to characterize; defaults to the full
                 symmetric 8-bit set -127..127 (255 values, matching the
                 TensorFlow-style symmetric quantization of the paper).
             seed: RNG seed for stimulus sampling.
-            jobs: Shard the per-weight simulations over this many
-                processes (``None``/``1`` = serial, ``0`` = all cores).
-                Thanks to per-weight seeding the sharded table is
-                bit-for-bit identical to the serial one, so ``jobs``
-                must never participate in cache keys.
             batch_weights: Weights per megabatch kernel launch
                 (``None``/``0`` = automatic memory-capped chunks, ``1``
                 = the per-weight oracle loop).  Batching is bit-for-bit
                 identical to the per-weight loop and composes with
-                ``jobs`` (each shard batches its own slice), so this
-                knob must never participate in cache keys either.
+                sharding (each shard batches its own slice), so this
+                knob must never participate in cache keys.
         """
         if weights is None:
             half = 1 << (self.mac.weight_bits - 1)
             weights = range(-half + 1, half)
         weights = np.asarray(sorted(set(int(w) for w in weights)))
 
-        if jobs is None:
-            jobs = 1
-        elif jobs == 0:
-            jobs = usable_cores()
-        jobs = max(1, min(jobs, weights.size))
-        if jobs == 1:
+        shards = min(core_share(), weights.size)
+        if shards <= 1:
             energies_fj = _chunk_energies(
                 (self, weights, seed, batch_weights))
         else:
-            chunks = np.array_split(weights, jobs)
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+            chunks = np.array_split(weights, shards)
+            with ProcessPoolExecutor(max_workers=shards) as pool:
                 parts = list(pool.map(
                     _chunk_energies,
                     [(self, chunk, seed, batch_weights)

@@ -8,8 +8,8 @@ dependency-free.  The endpoints:
 * ``POST /sweeps`` — submit a sweep; the body is the same JSON (or
   TOML, via ``Content-Type: application/toml``) mapping that
   ``load_sweep_file`` parses, plus optional job knobs (``jobs``,
-  ``char_jobs``, ``timeout_s``, ``max_retries``) and chaos knobs
-  (``poison``, ``crash_after_points``, ``lease_drop``).
+  ``timeout_s``, ``max_retries``) and chaos knobs (``poison``,
+  ``crash_after_points``, ``lease_drop``).
 * ``GET /sweeps`` — newest-first job summaries.
 * ``GET /sweeps/{job_id}`` — live status: per-point
   done/cached/failed/remaining counts, retry counters, failures.

@@ -80,9 +80,6 @@ def serve_main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="default processes per job's grid points "
                              "(0 = all cores; default: 1)")
-    parser.add_argument("--char-jobs", type=int, default=1, metavar="N",
-                        help="default per-point characterization "
-                             "sharding (default: 1)")
     parser.add_argument("--max-retries", type=int, default=2,
                         metavar="N",
                         help="retries for points lost to pool "
@@ -104,7 +101,7 @@ def serve_main(argv: Optional[Sequence[str]] = None) -> int:
 
     manager_kwargs = dict(
         cache_dir=args.cache_dir, jobs=args.jobs,
-        char_jobs=args.char_jobs, max_retries=args.max_retries,
+        max_retries=args.max_retries,
         retry_backoff_s=args.retry_backoff, timeout_s=args.timeout,
         store_path=args.store, worker_id=args.worker_id,
         lease_s=args.lease, poll_interval_s=args.poll)

@@ -106,8 +106,8 @@ class JobState:
 #: a sweep-spec key and is validated by ``sweep_spec_from_mapping``).
 #: ``poison``, ``crash_after_points`` and ``lease_drop`` are the chaos
 #: knobs — deterministic fault injection for tests and smoke drills.
-JOB_ONLY_KEYS = ("jobs", "char_jobs", "timeout_s", "max_retries",
-                 "poison", "crash_after_points", "lease_drop")
+JOB_ONLY_KEYS = ("jobs", "timeout_s", "max_retries", "poison",
+                 "crash_after_points", "lease_drop")
 
 
 class _LeaseAbandoned(Exception):
@@ -150,7 +150,6 @@ class ExperimentJob:
     spec: SweepSpec
     points: List[SweepPoint]
     jobs: int
-    char_jobs: int
     max_retries: int
     timeout_s: Optional[float]
     poison: Optional[str] = None
@@ -188,7 +187,6 @@ class ExperimentJob:
         """The job-level knobs, JSON-able (journaled with the job)."""
         return {
             "jobs": self.jobs,
-            "char_jobs": self.char_jobs,
             "max_retries": self.max_retries,
             "timeout_s": self.timeout_s,
             "poison": self.poison,
@@ -281,7 +279,6 @@ class JobManager:
             so even then jobs share one warm cache.
         jobs: Default process count per job's grid (``1`` = inline in
             the drain thread; ``0`` = all cores).
-        char_jobs: Default per-point characterization sharding.
         max_retries: Default bounded retries for points lost to pool
             breakage (a killed worker), with jittered backoff.
         retry_backoff_s: Backoff scale; the actual delay of wave ``n``
@@ -314,7 +311,7 @@ class JobManager:
     """
 
     def __init__(self, cache_dir: Optional[str] = None, jobs: int = 1,
-                 char_jobs: int = 1, max_retries: int = 2,
+                 max_retries: int = 2,
                  retry_backoff_s: float = 0.5,
                  timeout_s: Optional[float] = None,
                  store_path: Optional[str] = None,
@@ -331,7 +328,6 @@ class JobManager:
             cache_dir = self._tempdir.name
         self.cache_dir = str(cache_dir)
         self.default_jobs = jobs
-        self.default_char_jobs = char_jobs
         self.default_max_retries = max_retries
         self.retry_backoff_s = retry_backoff_s
         self.default_timeout_s = timeout_s
@@ -421,9 +417,11 @@ class JobManager:
             knobs["timeout_s"] = float(knobs["timeout_s"])
             if knobs["timeout_s"] <= 0:
                 raise ValueError("timeout_s must be positive")
-        for key in ("jobs", "char_jobs", "max_retries", "lease_drop"):
+        for key in ("jobs", "max_retries", "lease_drop"):
             if key in knobs:
                 knobs[key] = int(knobs[key])
+        if knobs.get("jobs", 0) < 0:
+            raise ValueError("jobs must be >= 0")
         if knobs.get("max_retries", 0) < 0:
             raise ValueError("max_retries must be >= 0")
         if knobs.get("lease_drop", 0) < 0:
@@ -441,7 +439,6 @@ class JobManager:
 
     def submit_spec(self, spec: SweepSpec,
                     jobs: Optional[int] = None,
-                    char_jobs: Optional[int] = None,
                     max_retries: Optional[int] = None,
                     timeout_s: Optional[float] = None,
                     poison: Optional[str] = None,
@@ -456,8 +453,6 @@ class JobManager:
             spec=spec,
             points=points,
             jobs=self.default_jobs if jobs is None else jobs,
-            char_jobs=(self.default_char_jobs if char_jobs is None
-                       else char_jobs),
             max_retries=(self.default_max_retries if max_retries is None
                          else max_retries),
             timeout_s=(self.default_timeout_s if timeout_s is None
@@ -637,7 +632,6 @@ class JobManager:
             spec=spec,
             points=list(points),
             jobs=knobs.get("jobs", self.default_jobs),
-            char_jobs=knobs.get("char_jobs", self.default_char_jobs),
             max_retries=knobs.get("max_retries",
                                   self.default_max_retries),
             timeout_s=knobs.get("timeout_s"),
@@ -788,9 +782,7 @@ class JobManager:
         probe = ArtifactStore(self.cache_dir)
         precached = sum(
             1 for point in job.points
-            if point_cache_key(point,
-                               point_config(point, job.char_jobs))
-            in probe)
+            if point_cache_key(point, point_config(point)) in probe)
         self.store.set_precached(job.job_id, precached)
 
         deadline = (None if job.timeout_s is None
@@ -806,10 +798,8 @@ class JobManager:
             self._check_job_chaos(job)
             wave = list(pending)
             tasks = [
-                _ServiceTask(
-                    PointTask(job.points[index], self.cache_dir,
-                              job.char_jobs, False),
-                    poison=job.poison)
+                _ServiceTask(PointTask(job.points[index], self.cache_dir),
+                             poison=job.poison)
                 for index in wave
             ]
             timeout = (None if deadline is None

@@ -18,8 +18,8 @@ At reduced scales only a subsample of the 2^16 activation transitions is
 applied per weight.  Each weight draws its subsample from its own child
 RNG keyed on ``(seed, weight)``, which makes the characterized table
 independent of the characterization order and lets
-``WeightTimingTable.characterize(..., jobs=N)`` shard the per-weight
-dynamic timing analyses across processes with bit-for-bit identical
+``WeightTimingTable.characterize`` shard the per-weight dynamic timing
+analyses over the process's core share with bit-for-bit identical
 results (the global calibration happens after the shards merge) —
 mirroring the sharded power characterization in
 :mod:`repro.power.characterization`.
@@ -35,7 +35,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.cells.library import CellLibrary
-from repro.cpus import usable_cores
+from repro.cpus import core_share
 from repro.netlist.mac import MacUnit
 from repro.sim.dynamic_timing import (
     STREAM_WINDOW_SAMPLES,
@@ -479,10 +479,16 @@ class WeightTimingTable:
                      calibrate_to_ps: Optional[float] = ANCHOR_MAX_DELAY_PS,
                      n_transitions: Optional[int] = None,
                      seed: int = 0,
-                     jobs: Optional[int] = 1,
                      batch_weights: Optional[int] = None
                      ) -> "WeightTimingTable":
         """Profile ``weights`` and build the sparse table.
+
+        The per-weight analyses run in one process per core of this
+        process's share (:func:`repro.cpus.core_share`), at most one
+        per weight.  Per-weight profiles are pure functions of
+        ``(seed, weight)`` and the calibration runs after the shards
+        merge, so the sharded table is bit-for-bit identical to a
+        serial one.
 
         Args:
             profiler: The per-weight DTA engine.
@@ -502,19 +508,13 @@ class WeightTimingTable:
                 ``None`` (and no explicit ``transitions``) enumerates
                 all 2^16 pairs, as in the paper.
             seed: Base seed for the per-weight transition subsampling.
-            jobs: Shard the per-weight analyses over this many processes
-                (``None``/``1`` = serial, ``0`` = all cores).  Per-weight
-                profiles are pure functions of ``(seed, weight)`` and the
-                calibration runs after the shards merge, so the sharded
-                table is bit-for-bit identical to the serial one — which
-                is why ``jobs`` must never participate in cache keys.
             batch_weights: Weights whose transitions concatenate into
                 one flat one-launch DTA stream (``None``/``0`` =
                 automatic, roughly one ``profiler.chunk`` window per
                 group; ``1`` = the per-weight oracle loop).  Batching
                 is bit-for-bit identical to the per-weight loop and
-                composes with ``jobs``, so this knob must never
-                participate in cache keys either.
+                composes with sharding, so this knob must never
+                participate in cache keys.
         """
         mac = profiler.mac
         if weights is None:
@@ -522,18 +522,14 @@ class WeightTimingTable:
             weights = range(-half + 1, half)
         weights = np.asarray(sorted(set(int(w) for w in weights)))
 
-        if jobs is None:
-            jobs = 1
-        elif jobs == 0:
-            jobs = usable_cores()
-        jobs = max(1, min(jobs, weights.size))
-        if jobs == 1:
+        shards = min(core_share(), weights.size)
+        if shards <= 1:
             slow = _profile_chunk(
                 (profiler, weights, transitions, n_transitions, seed,
                  batch_weights))
         else:
-            chunks = np.array_split(weights, jobs)
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+            chunks = np.array_split(weights, shards)
+            with ProcessPoolExecutor(max_workers=shards) as pool:
                 parts = list(pool.map(
                     _profile_chunk,
                     [(profiler, chunk, transitions, n_transitions, seed,

@@ -18,10 +18,6 @@ from repro.core.artifacts import hash_key
 from repro.core.stages import StageGraph
 from repro.experiments.runner import TIMING_CANDIDATES_VERSION
 
-#: Config fields no key may hash (see ``repro.experiments.sweep``).
-NON_KEY_FIELDS = ("backend", "char_jobs", "verbose")
-
-
 def backend_payload(config) -> Dict[str, object]:
     """The backend's key payload as ``dataclasses.asdict`` builds it."""
     return dataclasses.asdict(config.backend)
@@ -56,5 +52,5 @@ def point_cache_key(graph: StageGraph, point, config) -> str:
         "threshold": point.threshold,
         "config": {f.name: getattr(config, f.name)
                    for f in dataclasses.fields(config)
-                   if f.name not in NON_KEY_FIELDS},
+                   if f.name != "backend"},
     })

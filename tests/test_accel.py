@@ -27,7 +27,6 @@ from repro.experiments.config import NETWORK_SPECS, pipeline_config
 from repro.experiments.sweep import (
     expand,
     make_sweep_spec,
-    point_cache_key,
     point_config,
     run_sweep,
     shared_prefix_count,
@@ -344,13 +343,6 @@ class TestAccelStageKeys:
         explicit = self._keys(AcceleratorSpec(rows=base.rows,
                                               cols=base.cols))
         assert default == explicit
-
-    def test_char_jobs_never_in_accel_point_cache_key(self):
-        point = expand(make_sweep_spec("accel", scale="smoke"))[0]
-        baseline = point_cache_key(point, point_config(point))
-        sharded = point_cache_key(
-            point, point_config(point, char_jobs=8, verbose=True))
-        assert baseline == sharded
 
     def test_design_points_share_one_training_prefix(self):
         spec = make_sweep_spec(

@@ -183,14 +183,14 @@ class TestPrecachedCountRegression:
 
         points = expand(spec)
         store = ArtifactStore(cache_dir=cache)
-        assert _precached_count(points, str(cache), store, 1) == 2
+        assert _precached_count(points, str(cache), store) == 2
 
         victim = point_cache_key(points[0], point_config(points[0]))
         path = LocalDirStorage(cache)._path(victim)
         path.write_bytes(path.read_bytes()[:5])
 
         fresh = ArtifactStore(cache_dir=cache)
-        assert _precached_count(points, str(cache), fresh, 1) == 1
+        assert _precached_count(points, str(cache), fresh) == 1
         assert victim not in fresh
 
 

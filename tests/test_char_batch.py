@@ -14,6 +14,8 @@ counts, and every chunking of the weight axis; process sharding is
 checked to compose with batching on both tables.
 """
 
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +25,7 @@ from oracles.sim_kernels import prebatch_reference_energies
 from repro.cells import default_library
 from repro.netlist import build_mac_unit
 from repro.power.binning import BinnedTransitions, PartialSumBinner
+from repro.power import characterization as power_mod
 from repro.power.characterization import (
     WeightPowerCharacterizer,
     resolve_batch_weights,
@@ -42,6 +45,7 @@ from repro.sim.switching import (
     paired_toggle_rates_words,
     paired_toggle_rates_words_batched,
 )
+from repro.timing import profile as timing_mod
 from repro.timing.profile import (
     WeightDelayProfiler,
     WeightTimingTable,
@@ -265,12 +269,14 @@ class TestPowerBatchedEquivalence:
                                       batched.dynamic_uw)
         assert loop.energy_scale == batched.energy_scale
 
-    def test_sharding_composes_with_batching(self,
-                                             characterizer_factory):
+    def test_sharding_composes_with_batching(self, characterizer_factory,
+                                             cores):
         char = characterizer_factory(150)
+        cores(1)
         serial = char.characterize(self.WEIGHTS, seed=5,
                                    batch_weights=1)
-        sharded = char.characterize(self.WEIGHTS, seed=5, jobs=3,
+        cores(3)
+        sharded = char.characterize(self.WEIGHTS, seed=5,
                                     batch_weights=2)
         np.testing.assert_array_equal(serial.power_uw,
                                       sharded.power_uw)
@@ -356,12 +362,14 @@ class TestTimingBatchedEquivalence:
                                       batched.combo_delay_ps)
         assert loop.time_scale == batched.time_scale
 
-    def test_sharding_composes_with_batching(self, profiler):
+    def test_sharding_composes_with_batching(self, profiler, cores):
+        cores(1)
         serial = WeightTimingTable.characterize(
             profiler, self.WEIGHTS, n_transitions=60, seed=7,
             batch_weights=1)
+        cores(3)
         sharded = WeightTimingTable.characterize(
-            profiler, self.WEIGHTS, n_transitions=60, seed=7, jobs=3,
+            profiler, self.WEIGHTS, n_transitions=60, seed=7,
             batch_weights=2)
         np.testing.assert_array_equal(serial.max_delay_ps,
                                       sharded.max_delay_ps)
@@ -382,3 +390,39 @@ class TestTimingBatchedEquivalence:
                                       batched.max_delay_ps)
         np.testing.assert_array_equal(loop.combo_delay_ps,
                                       batched.combo_delay_ps)
+
+
+# ----------------------------------------------------------------------
+# shard count
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("kind", ["power", "timing"])
+def test_shards_are_the_core_share(kind, characterizer_factory, profiler,
+                                   cores, monkeypatch):
+    """One core runs inline; three cores run one pool of three."""
+    module = power_mod if kind == "power" else timing_mod
+
+    def characterize():
+        if kind == "power":
+            return characterizer_factory(64).characterize(
+                TestPowerBatchedEquivalence.WEIGHTS, seed=5)
+        return WeightTimingTable.characterize(
+            profiler, TestTimingBatchedEquivalence.WEIGHTS,
+            n_transitions=40, seed=7)
+
+    def no_pool(max_workers):
+        raise AssertionError(f"pool of {max_workers} on one core")
+
+    monkeypatch.setattr(module, "ProcessPoolExecutor", no_pool)
+    cores(1)
+    characterize()
+
+    pools = []
+
+    def pool(max_workers):
+        pools.append(max_workers)
+        return ProcessPoolExecutor(max_workers=max_workers)
+
+    monkeypatch.setattr(module, "ProcessPoolExecutor", pool)
+    cores(3)
+    characterize()
+    assert pools == [3]

@@ -189,9 +189,6 @@ class TestBackendKeyedStageCache:
     def test_default_backend_keys_stable(self):
         assert self._keys() == self._keys(backend=DEFAULT_BACKEND_ID)
 
-    def test_char_jobs_never_in_keys(self):
-        assert self._keys() == self._keys(char_jobs=8)
-
     def test_contexts_on_same_id_specs_keep_their_own_keys(self):
         """Two specs share an id: a context keys and builds its own
         spec, before and after the other context is made."""
@@ -253,10 +250,13 @@ class TestShardedCharacterization:
         assert not np.array_equal(a, c)
         assert not np.array_equal(a, d)
 
-    def test_sharded_bitwise_equal_to_serial(self, tiny_characterizer):
+    def test_sharded_bitwise_equal_to_serial(self, tiny_characterizer,
+                                             cores):
         weights = list(range(-127, 128, 16))
-        serial = tiny_characterizer.characterize(weights, seed=5, jobs=1)
-        sharded = tiny_characterizer.characterize(weights, seed=5, jobs=3)
+        cores(1)
+        serial = tiny_characterizer.characterize(weights, seed=5)
+        cores(3)
+        sharded = tiny_characterizer.characterize(weights, seed=5)
         np.testing.assert_array_equal(serial.weights, sharded.weights)
         np.testing.assert_array_equal(serial.power_uw, sharded.power_uw)
         np.testing.assert_array_equal(serial.dynamic_uw,

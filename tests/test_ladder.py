@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 from test_core import _toy_power_table, _toy_timing_table
 from test_stages import _tiny_config
 
+from repro import cpus
 from repro.core import (
     PipelineOps,
     delay_threshold_search,
@@ -27,7 +28,7 @@ from repro.core import (
 )
 from repro.core import ladder
 from repro.core.ladder import ladder_width, run_ladder
-from repro.cpus import usable_cores
+from repro.cpus import core_share, usable_cores
 from repro.experiments.parallel import default_jobs, parallel_map
 
 pytestmark = pytest.mark.skipif(
@@ -41,7 +42,7 @@ ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1"}
 @contextlib.contextmanager
 def _cores(n, blas_env=ONE_BLAS_THREAD):
     """``n`` usable cores, BLAS thread variables set to ``blas_env``."""
-    with mock.patch.object(ladder, "usable_cores", lambda: n), \
+    with mock.patch.object(cpus, "usable_cores", lambda: n), \
             mock.patch.dict(os.environ):
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
             os.environ.pop(var, None)
@@ -180,15 +181,15 @@ def test_width_is_the_core_share_over_blas_threads():
         assert ladder_width(4) == 1
 
 
-def _worker_width(steps):
-    return ladder_width(steps)
+def _worker_share(steps):
+    return ladder_width(steps), core_share()
 
 
 def test_pool_workers_share_the_cores():
     jobs = usable_cores()
     with mock.patch.dict(os.environ, ONE_BLAS_THREAD):
-        widths = parallel_map(_worker_width, [4] * jobs, jobs=jobs)
-    assert widths == [1] * jobs
+        shares = parallel_map(_worker_share, [4] * jobs, jobs=jobs)
+    assert shares == [(1, 1)] * jobs
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
@@ -207,6 +208,7 @@ def test_all_cores_means_the_affinity_mask():
 
 _EXIT_MID_WAVE = """
 import os, sys, threading, time
+from repro import cpus
 from repro.core import ladder
 
 def trial(step):
@@ -215,7 +217,7 @@ def trial(step):
             handle.write(str(os.getpid()))
     time.sleep(60)
 
-ladder.usable_cores = lambda: 2
+cpus.usable_cores = lambda: 2
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 threading.Thread(target=ladder.run_ladder, args=(trial, [0, 1], bool),
                  daemon=True).start()

@@ -171,11 +171,9 @@ class TestValidation:
 
     def test_job_knobs_are_split_off_the_spec(self, manager,
                                               echo_experiment):
-        body = dict(SPEC, jobs=1, char_jobs=1, max_retries=0,
-                    timeout_s=60)
-        assert set(JOB_ONLY_KEYS) >= {"jobs", "char_jobs",
-                                      "max_retries", "timeout_s",
-                                      "poison"}
+        body = dict(SPEC, jobs=1, max_retries=0, timeout_s=60)
+        assert set(JOB_ONLY_KEYS) >= {"jobs", "max_retries",
+                                      "timeout_s", "poison"}
         status = _finish(manager, manager.submit_mapping(body))
         assert status["state"] == JobState.DONE
         assert status["timeout_s"] == 60.0
@@ -190,6 +188,11 @@ class TestValidation:
             manager.submit_mapping(dict(SPEC, poison=123))
         with pytest.raises(ValueError, match="object"):
             manager.submit_mapping(["not", "a", "mapping"])
+
+    def test_negative_jobs_is_rejected_before_journaling(self, manager):
+        with pytest.raises(ValueError, match="jobs must be >= 0"):
+            manager.submit_mapping(dict(SPEC, jobs=-3))
+        assert manager.list_jobs() == []
 
     def test_missing_experiment_is_rejected(self, manager):
         with pytest.raises(ValueError, match="experiment"):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import logging
 import platform
 from types import SimpleNamespace
 
@@ -12,7 +13,7 @@ from repro.core import stages
 from repro.core.artifacts import ArtifactStore, hash_key
 from repro.core.pipeline import POWER_PRUNING_GRAPH, PipelineConfig, \
     PowerPruner
-from repro.core.stages import Stage, StageGraph, StageRunner
+from repro.core.stages import PipelineOps, Stage, StageGraph, StageRunner
 from repro.hw import DEFAULT_BACKEND_ID, get_backend
 
 
@@ -150,6 +151,19 @@ class TestStageRunner:
         StageRunner(graph, _ops(), ArtifactStore(tmp_path)).get("light")
         StageRunner(graph, _ops(), ArtifactStore(tmp_path)).get("train")
         assert events == ["data", "train", "release", "light"]
+
+    def test_computed_stage_logs_on_the_pipeline_logger(self, caplog,
+                                                         capsys):
+        graph = StageGraph()
+        graph.add(Stage("toy", lambda ops, inp: 1, fields=("seed",)))
+        runner = StageRunner(graph, PipelineOps(PipelineConfig()))
+        with caplog.at_level(logging.INFO, logger="repro.pipeline"):
+            runner.get("toy")
+            runner.get("toy")  # served from the store: no second line
+        assert [(r.name, r.levelno, r.getMessage())
+                for r in caplog.records] == [
+            ("repro.pipeline", logging.INFO, "stage toy: computing")]
+        assert capsys.readouterr() == ("", "")
 
     def test_heap_release_resolves_on_glibc(self):
         if platform.libc_ver()[0] == "glibc":

@@ -203,27 +203,18 @@ def _graph_with(name: str, **changes) -> StageGraph:
 
 
 class TestCacheKeys:
-    def test_every_config_field_is_keyed_or_declared_non_key(self):
-        """No stale ``_NON_KEY_FIELDS`` entry and no unkeyed field.
+    def test_every_config_field_but_backend_feeds_a_stage_key(self):
+        """The backend enters every key as its spec payload instead.
 
         ``accel`` reaches the keys through the ``accel_geometry`` and
         ``accel_point`` payloads the ``accel_*`` stages hash.
         """
         fields = {f.name for f in dataclass_fields(PipelineConfig)}
-        non_key = set(sweep_mod._NON_KEY_FIELDS)
-        assert non_key <= fields
         hashed = {name for stage in sweep_mod.POWER_PRUNING_GRAPH
                   for name in stage.fields}
         if hashed & {"accel_geometry", "accel_point"}:
             hashed.add("accel")
-        assert fields - non_key - hashed == set()
-
-    def test_char_jobs_and_verbose_never_in_point_cache_key(self):
-        point = expand(make_sweep_spec("fig8", scale="smoke"))[0]
-        baseline = point_cache_key(point, point_config(point))
-        sharded = point_cache_key(
-            point, point_config(point, char_jobs=8, verbose=True))
-        assert baseline == sharded
+        assert fields - hashed == {"backend"}
 
     @pytest.mark.parametrize("name, changes", [
         ("delay_selection", {"version": "2"}),
@@ -364,6 +355,14 @@ class TestEngine:
         bogus = SweepSpec(experiment="fig12")
         with pytest.raises(ValueError, match="unknown sweep experiment"):
             run_sweep(bogus)
+
+    def test_negative_jobs_rejected_before_expansion(
+            self, echo_experiment, monkeypatch):
+        spec = make_sweep_spec(echo_experiment, thresholds=(700.0,),
+                               scale="smoke")
+        monkeypatch.setattr(sweep_mod, "expand", None)  # never reached
+        with pytest.raises(ValueError, match="jobs must be >= 0"):
+            run_sweep(spec, jobs=-2)
 
     def test_csv_export(self, echo_experiment, tmp_path):
         spec = make_sweep_spec(echo_experiment,

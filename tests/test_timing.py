@@ -203,11 +203,11 @@ class TestShardedTimingCharacterization:
         power = weight_seed_sequence(7, -105).generate_state(4)
         assert not np.array_equal(timing, power)
 
-    def _characterize(self, profiler, weights, jobs,
-                      calibrate_to_ps=180.0):
+    @staticmethod
+    def _characterize(profiler, weights, calibrate_to_ps=180.0):
         return WeightTimingTable.characterize(
             profiler, weights=weights, n_transitions=120, seed=5,
-            floor_ps=90.0, calibrate_to_ps=calibrate_to_ps, jobs=jobs)
+            floor_ps=90.0, calibrate_to_ps=calibrate_to_ps)
 
     @staticmethod
     def _assert_tables_equal(a, b):
@@ -220,23 +220,27 @@ class TestShardedTimingCharacterization:
         assert a.time_scale == b.time_scale
         assert a.psum_path_ps == b.psum_path_ps
 
-    def test_sharded_bitwise_equal_to_serial(self, profiler):
-        serial = self._characterize(profiler, self.WEIGHTS, jobs=1)
-        sharded = self._characterize(profiler, self.WEIGHTS, jobs=3)
+    def test_sharded_bitwise_equal_to_serial(self, profiler, cores):
+        cores(1)
+        serial = self._characterize(profiler, self.WEIGHTS)
+        cores(3)
+        sharded = self._characterize(profiler, self.WEIGHTS)
         self._assert_tables_equal(serial, sharded)
 
-    def test_independent_of_weight_order_and_chunking(self, profiler):
-        forward = self._characterize(profiler, self.WEIGHTS, jobs=2)
+    def test_independent_of_weight_order_and_chunking(self, profiler,
+                                                      cores):
+        cores(2)
+        forward = self._characterize(profiler, self.WEIGHTS)
+        cores(4)
         backward = self._characterize(profiler,
-                                      list(reversed(self.WEIGHTS)),
-                                      jobs=4)
+                                      list(reversed(self.WEIGHTS)))
         self._assert_tables_equal(forward, backward)
 
-    def test_result_independent_of_weight_subset(self, profiler):
-        full = self._characterize(profiler, self.WEIGHTS, jobs=1,
+    def test_result_independent_of_weight_subset(self, profiler, cores):
+        cores(1)
+        full = self._characterize(profiler, self.WEIGHTS,
                                   calibrate_to_ps=None)
-        solo = self._characterize(profiler, [64], jobs=1,
-                                  calibrate_to_ps=None)
+        solo = self._characterize(profiler, [64], calibrate_to_ps=None)
         assert full.max_delay_of(64) == solo.max_delay_of(64)
         full_combos = full.combos_for([64])
         solo_combos = solo.combos_for([64])
@@ -244,23 +248,13 @@ class TestShardedTimingCharacterization:
             np.testing.assert_array_equal(a, b)
 
     def test_explicit_transitions_shared_and_shardable(
-            self, profiler, sampled_transitions):
+            self, profiler, sampled_transitions, cores):
+        cores(1)
         serial = WeightTimingTable.characterize(
             profiler, weights=self.WEIGHTS,
             transitions=sampled_transitions, floor_ps=90.0)
+        cores(2)
         sharded = WeightTimingTable.characterize(
             profiler, weights=self.WEIGHTS,
-            transitions=sampled_transitions, floor_ps=90.0, jobs=2)
+            transitions=sampled_transitions, floor_ps=90.0)
         self._assert_tables_equal(serial, sharded)
-
-    def test_char_jobs_absent_from_context_timing_key(self):
-        from repro.experiments.config import NETWORK_SPECS
-        from repro.experiments.runner import ExperimentContext
-
-        serial = ExperimentContext(NETWORK_SPECS[0], "smoke",
-                                   char_jobs=1)
-        sharded = ExperimentContext(NETWORK_SPECS[0], "smoke",
-                                    char_jobs=8)
-        candidates = [-2, 0, 2, 64]
-        assert serial.timing_table_key(candidates) == \
-            sharded.timing_table_key(reversed(candidates))
