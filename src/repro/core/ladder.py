@@ -15,12 +15,8 @@ instead of pickling.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import pickle
-import signal
-import traceback
-from typing import Callable, List, Optional, Sequence, TypeVar
+from typing import Callable, List, Sequence, TypeVar
 
 from repro import cpus
 
@@ -50,79 +46,7 @@ def ladder_width(steps: int) -> int:
     would oversubscribe the cores.  One (the serial path, no child
     processes) also where ``fork`` is not available.
     """
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return 1
     return max(1, min(steps, cpus.core_share() // _blas_threads()))
-
-
-def shippable_exception(error: BaseException) -> Optional[BaseException]:
-    """``error`` if it survives a pickle round-trip, else ``None``.
-
-    Exceptions raised in another process travel back inside the result
-    payload; an unpicklable one (custom ``__init__`` signatures, open
-    handles in args) must not crash the transport a second time.
-    """
-    try:
-        pickle.loads(pickle.dumps(error))
-        return error
-    except Exception:
-        return None
-
-
-class _ChildTraceback(Exception):
-    """Cause attached to a re-raised child exception: its traceback."""
-
-    def __str__(self) -> str:
-        return self.args[0]
-
-
-def _child_main(trial, step, conn) -> None:
-    # Ctrl-C reaches the whole process group; the parent handles it
-    # and terminates its children.
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    try:
-        message = (True, trial(step))
-    except Exception as error:
-        message = (False, (shippable_exception(error),
-                           traceback.format_exc()))
-    conn.send(message)
-
-
-class _Child:
-    """One speculative trial in a forked process."""
-
-    def __init__(self, trial, step) -> None:
-        context = multiprocessing.get_context("fork")
-        self.step = step
-        self.conn, sender = context.Pipe(duplex=False)
-        # Daemonic: a parent that exits normally terminates it.
-        self.process = context.Process(target=_child_main,
-                                       args=(trial, step, sender),
-                                       daemon=True)
-        self.process.start()
-        sender.close()  # EOF on ``conn`` once the child is gone
-
-    def result(self):
-        try:
-            ok, payload = self.conn.recv()
-        except EOFError:
-            self.process.join()
-            raise RuntimeError(
-                f"ladder trial at threshold {self.step!r} died with exit "
-                f"code {self.process.exitcode} (killed?)") from None
-        if ok:
-            return payload
-        error, text = payload
-        if error is None:
-            raise RuntimeError(
-                f"ladder trial at threshold {self.step!r} raised:\n{text}")
-        raise error from _ChildTraceback(text)
-
-    def close(self) -> None:
-        if self.process.is_alive():
-            self.process.terminate()
-        self.process.join()
-        self.conn.close()
 
 
 def run_ladder(trial: Callable[[S], T], steps: Sequence[S],
@@ -154,10 +78,11 @@ def run_ladder(trial: Callable[[S], T], steps: Sequence[S],
     results: List[T] = []
     for start in range(0, len(steps), width):
         wave = steps[start:start + width]
-        children: List[_Child] = []
+        children: List[cpus.ForkedCall] = []
         try:
             for step in wave[1:]:
-                children.append(_Child(trial, step))
+                children.append(cpus.ForkedCall(
+                    trial, step, f"ladder trial at threshold {step!r}"))
             results.append(trial(wave[0]))
             for child in children:
                 if not passed(results[-1]):

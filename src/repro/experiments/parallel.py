@@ -37,8 +37,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Sequence, Tuple, \
     TypeVar, Union
 
-from repro.core.ladder import shippable_exception
-from repro.cpus import share_cores, usable_cores
+from repro.cpus import share_cores, shippable_exception, usable_cores
 
 T = TypeVar("T")
 R = TypeVar("R")

@@ -346,9 +346,9 @@ class PackedNetlist:
     def schedule(self) -> LevelSchedule:
         """Levelized execution plan, built once and cached.
 
-        The cached schedule travels with the object through pickling,
-        so characterization workers receiving a packed netlist do not
-        rebuild it per shard.
+        The cached schedule travels with the object into forked
+        characterization shards and through pickling, so no shard
+        rebuilds it.
         """
         if self._schedule is None:
             self._schedule = LevelSchedule(self)
@@ -361,8 +361,8 @@ class PackedNetlist:
         :mod:`repro.sim.logic` evaluates netlists by running this
         opcode-array form of :attr:`schedule`
         (:meth:`repro.sim.program.LevelProgram.run`).  Like the
-        schedule, the cached program travels through pickling so
-        characterization workers receive it warm.
+        schedule, the cached program travels into forked shards and
+        through pickling warm.
         """
         if self._program is None:
             # Imported lazily: sim.program depends on this module.

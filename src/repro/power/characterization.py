@@ -21,7 +21,6 @@ results (calibration happens after the shards merge).
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, Optional, Sequence, Tuple
@@ -29,7 +28,7 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.cells.library import CellLibrary
-from repro.cpus import core_share
+from repro.cpus import core_share, fork_map
 from repro.netlist.mac import MacUnit
 from repro.power.binning import BinnedTransitions
 from repro.power.estimator import PowerEstimator
@@ -105,7 +104,7 @@ def weight_seed_sequence(seed: int, weight: int) -> np.random.SeedSequence:
 def _chunk_energies(task: Tuple["WeightPowerCharacterizer",
                                 np.ndarray, int, Optional[int]]
                     ) -> np.ndarray:
-    """Worker entry point for sharded characterization (picklable).
+    """One shard of the characterization, inline or in a forked child.
 
     Process sharding composes on top of weight batching: each shard
     runs its own slice of the weight set through the one-launch megabatch
@@ -384,10 +383,11 @@ class WeightPowerCharacterizer:
                      ) -> WeightPowerTable:
         """Build the per-weight power table.
 
-        The per-weight simulations run in one process per core of this
-        process's share (:func:`repro.cpus.core_share`), at most one
-        per weight.  Thanks to per-weight seeding the sharded table is
-        bit-for-bit identical to a serial one.
+        The weights split into one shard per core of this process's
+        share (:func:`repro.cpus.core_share`), at most one per weight;
+        the first shard runs inline, the others in forked children
+        (:func:`repro.cpus.fork_map`).  Thanks to per-weight seeding the
+        sharded table is bit-for-bit identical to a serial one.
 
         Args:
             weights: Weight values to characterize; defaults to the full
@@ -406,18 +406,10 @@ class WeightPowerCharacterizer:
             weights = range(-half + 1, half)
         weights = np.asarray(sorted(set(int(w) for w in weights)))
 
-        shards = min(core_share(), weights.size)
-        if shards <= 1:
-            energies_fj = _chunk_energies(
-                (self, weights, seed, batch_weights))
-        else:
-            chunks = np.array_split(weights, shards)
-            with ProcessPoolExecutor(max_workers=shards) as pool:
-                parts = list(pool.map(
-                    _chunk_energies,
-                    [(self, chunk, seed, batch_weights)
-                     for chunk in chunks]))
-            energies_fj = np.concatenate(parts)
+        chunks = np.array_split(weights, min(core_share(), weights.size))
+        energies_fj = np.concatenate(fork_map(
+            _chunk_energies,
+            [(self, chunk, seed, batch_weights) for chunk in chunks]))
         dynamic_uw = energies_fj * self.estimator.frequency_ghz
         # Keyed on mac.full so it hits the __init__-time memo entry.
         leakage_uw = self.estimator.leakage_power_uw(self.mac.full)

@@ -31,8 +31,8 @@ Python ints, keeping numpy scalar extraction out of the executor loop.
 
 The program is a pure function of the netlist; it is built once,
 cached on :class:`~repro.netlist.gates.PackedNetlist` alongside the
-schedule, and pickles warm to characterization workers (no per-shard
-rebuild).  Its results are bit-for-bit those of the per-gate reference
+schedule, and forked characterization shards inherit it warm (no
+per-shard rebuild), as does a pickled copy.  Its results are bit-for-bit those of the per-gate reference
 walk; the equivalence suite checks that.
 """
 

@@ -27,7 +27,6 @@ mirroring the sharded power characterization in
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -35,7 +34,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.cells.library import CellLibrary
-from repro.cpus import core_share
+from repro.cpus import core_share, fork_map
 from repro.netlist.mac import MacUnit
 from repro.sim.dynamic_timing import (
     STREAM_WINDOW_SAMPLES,
@@ -148,8 +147,8 @@ class WeightDelayProfiler:
         self.chunk = chunk
         self._packed = mac.multiplier.packed()
         # Build the levelized plan and its level program once,
-        # outside the per-weight loop (and before any worker pickling
-        # ships the packed view, so shards receive both warm).
+        # outside the per-weight loop (and before any shard forks, so
+        # every shard inherits both warm).
         self._packed.schedule
         self._packed.program
         # Product-bus net indices the streaming DTA retains; constant
@@ -168,7 +167,7 @@ class WeightDelayProfiler:
         self._arrivals_buf: Optional[np.ndarray] = None
 
     def __getstate__(self) -> dict:
-        """Drop the scratch buffers when shipping to worker processes."""
+        """Drop the scratch buffers from a pickled copy."""
         state = self.__dict__.copy()
         state["_words_buf"] = None
         state["_arrivals_buf"] = None
@@ -346,7 +345,7 @@ def _profile_chunk(task: Tuple[WeightDelayProfiler, np.ndarray,
                                Optional[int], int, Optional[int]]
                    ) -> List[Tuple[int, np.ndarray, np.ndarray,
                                    np.ndarray]]:
-    """Worker entry point for sharded characterization (picklable).
+    """One shard of the characterization, inline or in a forked child.
 
     Returns raw (uncalibrated) ``(weight, act_from, act_to, delays)``
     records; each record is a pure function of ``(seed, weight)``, so
@@ -483,12 +482,13 @@ class WeightTimingTable:
                      ) -> "WeightTimingTable":
         """Profile ``weights`` and build the sparse table.
 
-        The per-weight analyses run in one process per core of this
-        process's share (:func:`repro.cpus.core_share`), at most one
-        per weight.  Per-weight profiles are pure functions of
-        ``(seed, weight)`` and the calibration runs after the shards
-        merge, so the sharded table is bit-for-bit identical to a
-        serial one.
+        The weights split into one shard per core of this process's
+        share (:func:`repro.cpus.core_share`), at most one per weight;
+        the first shard runs inline, the others in forked children
+        (:func:`repro.cpus.fork_map`).  Per-weight profiles are pure
+        functions of ``(seed, weight)`` and the calibration runs after
+        the shards merge, so the sharded table is bit-for-bit identical
+        to a serial one.
 
         Args:
             profiler: The per-weight DTA engine.
@@ -522,20 +522,12 @@ class WeightTimingTable:
             weights = range(-half + 1, half)
         weights = np.asarray(sorted(set(int(w) for w in weights)))
 
-        shards = min(core_share(), weights.size)
-        if shards <= 1:
-            slow = _profile_chunk(
-                (profiler, weights, transitions, n_transitions, seed,
-                 batch_weights))
-        else:
-            chunks = np.array_split(weights, shards)
-            with ProcessPoolExecutor(max_workers=shards) as pool:
-                parts = list(pool.map(
+        chunks = np.array_split(weights, min(core_share(), weights.size))
+        slow = [record for part in fork_map(
                     _profile_chunk,
                     [(profiler, chunk, transitions, n_transitions, seed,
-                      batch_weights)
-                     for chunk in chunks]))
-            slow = [record for part in parts for record in part]
+                      batch_weights) for chunk in chunks])
+                for record in part]
 
         max_delays = np.array([delays.max()
                                for __, __, __, delays in slow])

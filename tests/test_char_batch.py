@@ -14,18 +14,17 @@ counts, and every chunking of the weight axis; process sharding is
 checked to compose with batching on both tables.
 """
 
-from concurrent.futures import ProcessPoolExecutor
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles.netlists import AWKWARD_BATCHES, random_netlists
 from oracles.sim_kernels import prebatch_reference_energies
+from repro import cpus
 from repro.cells import default_library
+from repro.cpus import ForkedCall
 from repro.netlist import build_mac_unit
 from repro.power.binning import BinnedTransitions, PartialSumBinner
-from repro.power import characterization as power_mod
 from repro.power.characterization import (
     WeightPowerCharacterizer,
     resolve_batch_weights,
@@ -45,7 +44,6 @@ from repro.sim.switching import (
     paired_toggle_rates_words,
     paired_toggle_rates_words_batched,
 )
-from repro.timing import profile as timing_mod
 from repro.timing.profile import (
     WeightDelayProfiler,
     WeightTimingTable,
@@ -398,9 +396,8 @@ class TestTimingBatchedEquivalence:
 @pytest.mark.parametrize("kind", ["power", "timing"])
 def test_shards_are_the_core_share(kind, characterizer_factory, profiler,
                                    cores, monkeypatch):
-    """One core runs inline; three cores run one pool of three."""
-    module = power_mod if kind == "power" else timing_mod
-
+    """One core runs inline; three cores run three shards, two of them
+    in forked children."""
     def characterize():
         if kind == "power":
             return characterizer_factory(64).characterize(
@@ -409,20 +406,20 @@ def test_shards_are_the_core_share(kind, characterizer_factory, profiler,
             profiler, TestTimingBatchedEquivalence.WEIGHTS,
             n_transitions=40, seed=7)
 
-    def no_pool(max_workers):
-        raise AssertionError(f"pool of {max_workers} on one core")
+    def no_child(fn, item, label):
+        raise AssertionError(f"{label} forked on one core")
 
-    monkeypatch.setattr(module, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(cpus, "ForkedCall", no_child)
     cores(1)
     characterize()
 
-    pools = []
+    forked = []
 
-    def pool(max_workers):
-        pools.append(max_workers)
-        return ProcessPoolExecutor(max_workers=max_workers)
+    def child(fn, item, label):
+        forked.append(label)
+        return ForkedCall(fn, item, label)
 
-    monkeypatch.setattr(module, "ProcessPoolExecutor", pool)
+    monkeypatch.setattr(cpus, "ForkedCall", child)
     cores(3)
     characterize()
-    assert pools == [3]
+    assert len(forked) == 2

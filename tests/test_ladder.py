@@ -1,4 +1,5 @@
-"""Tests for the speculative threshold ladder.
+"""Tests for the speculative threshold ladder and the forked calls
+under it (:mod:`repro.cpus`).
 
 The ladder must return exactly what the serial loop returns, whatever
 width it runs at, and must leave no child process behind.  Widths are
@@ -28,7 +29,7 @@ from repro.core import (
 )
 from repro.core import ladder
 from repro.core.ladder import ladder_width, run_ladder
-from repro.cpus import core_share, usable_cores
+from repro.cpus import core_share, fork_map, usable_cores
 from repro.experiments.parallel import default_jobs, parallel_map
 
 pytestmark = pytest.mark.skipif(
@@ -190,6 +191,28 @@ def test_pool_workers_share_the_cores():
     with mock.patch.dict(os.environ, ONE_BLAS_THREAD):
         shares = parallel_map(_worker_share, [4] * jobs, jobs=jobs)
     assert shares == [(1, 1)] * jobs
+
+
+def _pid_and_square(item):
+    if item == "raise":
+        raise StepError(item)
+    return os.getpid(), item * item
+
+
+def test_fork_map_runs_the_first_item_inline_and_the_rest_forked():
+    results = fork_map(_pid_and_square, [1, 2, 3])
+    assert [square for _, square in results] == [1, 4, 9]
+    pids = [pid for pid, _ in results]
+    assert pids[0] == os.getpid() and len(set(pids)) == 3
+    assert fork_map(_pid_and_square, [5]) == [(os.getpid(), 25)]
+    assert multiprocessing.active_children() == []
+
+
+def test_fork_map_raises_a_child_exception_with_its_type():
+    with pytest.raises(StepError, match="raise") as info:
+        fork_map(_pid_and_square, [1, "raise", 3])
+    assert "Traceback" in str(info.value.__cause__)
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),

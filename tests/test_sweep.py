@@ -203,8 +203,9 @@ def _graph_with(name: str, **changes) -> StageGraph:
 
 
 class TestCacheKeys:
-    def test_every_config_field_but_backend_feeds_a_stage_key(self):
-        """The backend enters every key as its spec payload instead.
+    def test_every_config_field_is_keyed_or_declared_non_key(self):
+        """Every field but ``backend`` feeds some stage key; the backend
+        enters every key as its spec payload instead.
 
         ``accel`` reaches the keys through the ``accel_geometry`` and
         ``accel_point`` payloads the ``accel_*`` stages hash.
